@@ -619,7 +619,14 @@ Outcome AtomicAction::commit() {
     }
   }
   // Phase two: promote shadows, then process locks and records per colour.
-  for (UndoRecord* r : prepared) r->object->store().commit_shadow(r->object->uid());
+  // Promotions in the default store go to whichever participant's durable
+  // decision record covers them (lazy phase two); the rest wait per write.
+  CoveredPromotions promotions(rt_.default_store());
+  for (UndoRecord* r : prepared) promotions.add(r->object->store(), r->object->uid());
+  const bool covered = std::any_of(participants.begin(), participants.end(), [&](const auto& p) {
+    return p->promote_covered(uid_, promotions);
+  });
+  if (!covered) promotions.promote();
 
   for (const Resolution& res : resolutions) {
     if (res.heir == nullptr) {
@@ -641,10 +648,8 @@ Outcome AtomicAction::commit() {
     }
   }
 
-  // Phase two to the participants. The start loop runs in registration
-  // order, so the coordinator log's (inline) commit is durable before the
-  // first remote delivery is even issued; the remote deliveries themselves
-  // overlap and are drained afterwards.
+  // Phase two to the participants, started in registration order; the
+  // remote deliveries overlap and are drained afterwards.
   if (parallel_termination()) {
     std::vector<TerminationParticipant::Pending> pendings;
     pendings.reserve(participants.size());

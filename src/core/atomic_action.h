@@ -34,6 +34,7 @@
 #include "core/colour.h"
 #include "core/recovery_record.h"
 #include "core/runtime.h"
+#include "storage/object_store.h"
 
 namespace mca {
 
@@ -106,6 +107,19 @@ class TerminationParticipant {
     (void)action;
     (void)prepared_objects;
     return true;
+  }
+  // Lazy phase two (DESIGN.md §5.4): called once every decide_commit
+  // succeeded, before any lock moves. `promotions` holds the prepared
+  // shadows that live in the runtime's default store (the others are
+  // promoted already). A participant whose decision record, durable in that
+  // store, names them takes the job: it runs `promotions.promote()` and
+  // retires its record inside one DeferDurability scope, so none of those
+  // writes waits for its own flush, and returns true. The default declines;
+  // if nobody takes it the kernel promotes with a wait per write.
+  virtual bool promote_covered(const Uid& action, const CoveredPromotions& promotions) {
+    (void)action;
+    (void)promotions;
+    return false;
   }
   // Phase two: apply the per-colour dispositions.
   virtual void commit(const Uid& action, const std::vector<ColourDisposition>& dispositions) = 0;

@@ -714,6 +714,12 @@ void DistNode::reconcile_coordinator_log(const RecoveryOptions& opts) {
     }
   };
   for (const Uid& action : CLP::logged_actions(*runtime_)) {
+    // An action still registered here is being terminated by its own
+    // commit path, which owns the record: a Pending record's fan-out may
+    // still land (fencing the witnesses now would abort it), and a Sealed
+    // record's lazy promotion may still be in flight. Only records left
+    // behind by a crash are ours — the liveness test tx.status applies.
+    if (!runtime_->ancestry().path_of(action).empty()) continue;
     auto rec = CLP::read_record(*runtime_, action);
     if (!rec || rec->state == CLP::RecordState::Applied) continue;
     if (rec->state == CLP::RecordState::Sealed) {

@@ -188,6 +188,10 @@ class DistNode {
   // forces an attempt for every in-doubt action regardless of its backoff
   // schedule — the hook for "the partition healed, re-resolve now".
   void kick_recovery();
+  // One pass on the calling thread: this node's coordinator log first, then
+  // the in-doubt set. `ignore_backoff` forces an attempt for every entry
+  // (restart()'s synchronous pass). Passes never overlap.
+  void recover_once(bool ignore_backoff);
 
  private:
   void register_services();
@@ -210,16 +214,14 @@ class DistNode {
   [[nodiscard]] RpcResult call_blocking(NodeId target, const std::string& service,
                                         const ByteBuffer& request, CallOptions options);
 
-  // One resolution pass over the in-doubt set. `ignore_backoff` forces an
-  // attempt for every entry (used by restart()'s synchronous pass).
-  void recover_once(bool ignore_backoff);
   // Coordinator unreachable: try the witness mirrors its prepared marker
   // names. True when the entry was resolved (or this node died trying).
   bool resolve_from_witnesses(const ParticipantTable::InDoubtEntry& entry,
                               const RecoveryOptions& opts);
   // Restart/daemon reconciliation of this node's own coordinator log:
   // redo interrupted local promotions of Sealed records, resolve Pending
-  // records against their witnesses. May throw CrashPointHit.
+  // records against their witnesses, skipping actions still live here.
+  // May throw CrashPointHit.
   void reconcile_coordinator_log(const RecoveryOptions& opts);
   // Periodic timer callback: short, non-blocking — hands the actual pass to
   // the executor's blocking lane (at most one pass in flight).

@@ -279,15 +279,31 @@ void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInf
   }
   mirror.action->set_mirror_heir_resolver(nullptr);
 
-  // Pass 2: promote shadows, move undo records, release/inherit locks.
+  // Pass 2: promote the permanent colours' shadows and drop the marker,
+  // before any lock moves so a later action's writes to these objects are
+  // logged behind them. The marker is durable in the default store and names
+  // the shadows, so the promotions there and the marker drop ride its next
+  // group commit (lazy phase two): a crash before they land replays to
+  // "marker + shadows", which tx.status resolution redoes. Shadows in other
+  // stores are not covered and wait per write.
+  CoveredPromotions promotions(rt_.default_store());
+  for (const wire::HeirInfo& h : heirs) {
+    if (!h.heir.is_nil()) continue;
+    for (const auto& [uid, colour] : mirror.prepared) {
+      if (colour != h.colour) continue;
+      LockManaged* object = resolve_(uid);
+      promotions.add(object != nullptr ? object->store() : rt_.default_store(), uid);
+    }
+  }
+  {
+    const DeferDurability lazy;
+    promotions.promote();
+    MCA_CRASHPOINT("tpc.participant.commit.pre_marker_drop");
+    drop_marker(action);
+  }
+  // Pass 3: move undo records, release/inherit locks.
   for (const wire::HeirInfo& h : heirs) {
     if (h.heir.is_nil()) {
-      for (const auto& [uid, colour] : mirror.prepared) {
-        if (colour == h.colour) {
-          LockManaged* object = resolve_(uid);
-          (object != nullptr ? object->store() : rt_.default_store()).commit_shadow(uid);
-        }
-      }
       (void)mirror.action->extract_records(h.colour);  // permanence: records done
       rt_.lock_manager().on_commit_release(action, h.colour);
     } else {
@@ -296,8 +312,6 @@ void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInf
       rt_.lock_manager().on_commit_inherit(action, h.colour, h.heir);
     }
   }
-  MCA_CRASHPOINT("tpc.participant.commit.pre_marker_drop");
-  drop_marker(action);
   mirror.action->finish_mirror();
 }
 
@@ -787,17 +801,26 @@ bool CoordinatorLogParticipant::decide_commit(const Uid& action,
   return true;
 }
 
+bool CoordinatorLogParticipant::promote_covered(const Uid& action,
+                                                const CoveredPromotions& promotions) {
+  if (!decided_) return false;
+  // The sealed record is durable in the default store and names these
+  // shadows: a crash before the writes below land replays to "Sealed record
+  // + shadows", which restart reconciliation redoes. So none of them waits.
+  const DeferDurability lazy;
+  promotions.promote();
+  // Retire the redo list so this record can never promote a *later*
+  // action's shadow on the same object during restart reconciliation.
+  if (!redo_uids_.empty()) write_record(rt_, action, RecordState::Applied, witnesses_, {});
+  return true;
+}
+
 void CoordinatorLogParticipant::commit(const Uid& action,
                                        const std::vector<ColourDisposition>&) {
   if (!decided_) {
     // Direct phase-two callers that bypassed the kernel's decision point
     // (recovery benches drive commit() by hand) still get a durable record.
     rt_.default_store().write(ObjectState(log_uid(action), kCoordinatorLogType, ByteBuffer{}));
-  } else if (!redo_uids_.empty()) {
-    // The kernel has promoted our local shadows by now: retire the redo list
-    // so this record can never promote a *later* action's shadow on the same
-    // object during restart reconciliation.
-    write_record(rt_, action, RecordState::Applied, witnesses_, {});
   }
   // The decision is durable but no participant has heard it: every remote
   // mirror is in doubt and only recovery-vs-the-log can finish the commit.

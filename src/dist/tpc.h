@@ -254,6 +254,11 @@ class RpcParticipant final : public TerminationParticipant {
 //   Applied  local promotion done; the redo list is cleared so a later
 //            transaction's shadow on the same object can never be promoted
 //            by this record.
+//
+// Lazy phase two: the Sealed record covers the kernel's default-store
+// promotions, so promote_covered runs them and the Applied rewrite without
+// waiting for their flush, before any lock is released — a later action's
+// shadow on the same object is then always logged behind the rewrite.
 class CoordinatorLogParticipant final : public TerminationParticipant {
  public:
   enum class RecordState : std::uint8_t { Pending = 0, Sealed = 1, Applied = 2, Delta = 3 };
@@ -267,6 +272,7 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
 
   bool prepare(const Uid&, const std::vector<Colour>&) override { return true; }
   bool decide_commit(const Uid& action, const std::vector<Uid>& prepared_objects) override;
+  bool promote_covered(const Uid& action, const CoveredPromotions& promotions) override;
   void commit(const Uid& action, const std::vector<ColourDisposition>&) override;
   void abort(const Uid&) override {}
 

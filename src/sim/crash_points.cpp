@@ -46,8 +46,8 @@ constexpr Info kPoints[] = {
      "participant commit: COMMIT received, no shadow promoted — marker + shadows intact, recovery "
      "re-commits"},
     {"tpc.participant.commit.pre_marker_drop",
-     "participant commit: shadows promoted, locks released, marker still present — recovery "
-     "re-resolves idempotently"},
+     "participant commit: shadow promotions issued (on a WalStore only queued, no flush yet), "
+     "marker still present, locks not yet released — recovery re-resolves idempotently"},
     {"tpc.participant.abort.pre_discard",
      "participant abort: ABORT received, shadows still present — marker intact, recovery "
      "re-aborts"},

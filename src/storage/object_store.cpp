@@ -1,0 +1,47 @@
+#include "storage/object_store.h"
+
+#include <algorithm>
+#include <utility>
+
+namespace mca {
+namespace {
+
+struct DeferredScope {
+  int depth = 0;
+  std::vector<ObjectStore*> joined;  // stores to wake when the outermost scope closes
+};
+
+thread_local DeferredScope tls_deferred;
+
+}  // namespace
+
+DeferDurability::DeferDurability() noexcept { ++tls_deferred.depth; }
+
+DeferDurability::~DeferDurability() {
+  if (--tls_deferred.depth > 0) return;
+  // Swap the list out first: a store's wake must not see the list it is
+  // being called from.
+  const std::vector<ObjectStore*> joined = std::exchange(tls_deferred.joined, {});
+  for (ObjectStore* store : joined) store->wake_deferred();
+}
+
+bool DeferDurability::active() noexcept { return tls_deferred.depth > 0; }
+
+void DeferDurability::join(ObjectStore& store) {
+  auto& joined = tls_deferred.joined;
+  if (std::find(joined.begin(), joined.end(), &store) == joined.end()) joined.push_back(&store);
+}
+
+void CoveredPromotions::add(ObjectStore& store, const Uid& uid) {
+  if (&store == covering_) {
+    held_.push_back(uid);
+  } else {
+    store.commit_shadow(uid);
+  }
+}
+
+void CoveredPromotions::promote() const {
+  for (const Uid& uid : held_) covering_->commit_shadow(uid);
+}
+
+}  // namespace mca

@@ -34,6 +34,34 @@ enum class StorageClass { Stable, Volatile };
 // Which side of the store a batched write lands on.
 enum class WriteKind { Committed, Shadow };
 
+class ObjectStore;
+
+// Lazy durability for writes an already-durable record covers (DESIGN.md
+// §5.4). While a scope is open on a thread, that thread's mutations of a
+// store that group-commits (WalStore) update the store's image and join its
+// log in order, but return without waiting for their own flush; the
+// outermost scope's exit starts that flush. Sound only for writes a record
+// that is already durable in the SAME store makes redo-able: any later
+// waited write to that store is durable only once they are, and a crash
+// before they land replays to the covering record, whose recovery redoes
+// them. Writes to any other store must not run inside a scope. FileStore
+// and MemoryStore ignore it and stay synchronous. The hint travels with
+// the thread, so it reaches a store through decorators that only forward
+// the ObjectStore calls.
+class DeferDurability {
+ public:
+  DeferDurability() noexcept;
+  ~DeferDurability();
+  DeferDurability(const DeferDurability&) = delete;
+  DeferDurability& operator=(const DeferDurability&) = delete;
+
+  // Store side: true while the calling thread is inside a scope.
+  [[nodiscard]] static bool active() noexcept;
+  // Store side: `store` deferred records under the calling thread's scope;
+  // its wake_deferred() runs once when the outermost scope closes.
+  static void join(ObjectStore& store);
+};
+
 class ObjectStore {
  public:
   virtual ~ObjectStore() = default;
@@ -79,6 +107,29 @@ class ObjectStore {
   virtual void scavenge() {}
 
   [[nodiscard]] virtual StorageClass storage_class() const = 0;
+
+ protected:
+  friend class DeferDurability;
+  // Starts the flush of the records this store deferred under a
+  // DeferDurability scope that just closed. Only stores that join a scope
+  // are ever called, so decorators need not forward it.
+  virtual void wake_deferred() {}
+};
+
+// Lazy phase two's same-store rule (DESIGN.md §5.4): a durable record covers
+// only the shadows in its own store. Sorts one commit's shadow promotions:
+// a shadow in any other store is promoted at once, waiting for its flush; one
+// in the covering store is held for promote(), which the caller runs inside
+// the covering record's DeferDurability scope.
+class CoveredPromotions {
+ public:
+  explicit CoveredPromotions(ObjectStore& covering) : covering_(&covering) {}
+  void add(ObjectStore& store, const Uid& uid);
+  void promote() const;
+
+ private:
+  ObjectStore* covering_;
+  std::vector<Uid> held_;
 };
 
 }  // namespace mca

@@ -280,7 +280,7 @@ void WalStore::write(const ObjectState& state) {
   std::vector<std::byte> bytes;
   frame_record(bytes, Op::kPut, &state, state.uid());
   committed_.insert_or_assign(state.uid(), state);
-  log_and_wait(lock, std::move(bytes), 1);
+  log_records(lock, std::move(bytes), 1);
 }
 
 void WalStore::write_shadow(const ObjectState& state) {
@@ -289,7 +289,7 @@ void WalStore::write_shadow(const ObjectState& state) {
   std::vector<std::byte> bytes;
   frame_record(bytes, Op::kPutShadow, &state, state.uid());
   shadows_.insert_or_assign(state.uid(), state);
-  log_and_wait(lock, std::move(bytes), 1);
+  log_records(lock, std::move(bytes), 1);
 }
 
 void WalStore::write_batch(const std::vector<ObjectState>& states, WriteKind kind) {
@@ -305,7 +305,7 @@ void WalStore::write_batch(const std::vector<ObjectState>& states, WriteKind kin
   }
   // One contiguous run of records, one ticket, one durability barrier for
   // the whole batch — and the committer may merge it with other writers'.
-  log_and_wait(lock, std::move(bytes), states.size());
+  log_records(lock, std::move(bytes), states.size());
 }
 
 bool WalStore::remove(const Uid& uid) {
@@ -316,7 +316,7 @@ bool WalStore::remove(const Uid& uid) {
   committed_.erase(it);
   std::vector<std::byte> bytes;
   frame_record(bytes, Op::kRemove, nullptr, uid);
-  log_and_wait(lock, std::move(bytes), 1);
+  log_records(lock, std::move(bytes), 1);
   return true;
 }
 
@@ -329,7 +329,7 @@ bool WalStore::commit_shadow(const Uid& uid) {
   shadows_.erase(it);
   std::vector<std::byte> bytes;
   frame_record(bytes, Op::kCommitShadow, nullptr, uid);
-  log_and_wait(lock, std::move(bytes), 1);
+  log_records(lock, std::move(bytes), 1);
   return true;
 }
 
@@ -341,7 +341,7 @@ bool WalStore::discard_shadow(const Uid& uid) {
   shadows_.erase(it);
   std::vector<std::byte> bytes;
   frame_record(bytes, Op::kDiscardShadow, nullptr, uid);
-  log_and_wait(lock, std::move(bytes), 1);
+  log_records(lock, std::move(bytes), 1);
   return true;
 }
 
@@ -357,14 +357,20 @@ void WalStore::ensure_committer_locked() {
   }
 }
 
-void WalStore::log_and_wait(std::unique_lock<std::mutex>& lock, std::vector<std::byte> bytes,
-                            std::size_t record_count) {
+void WalStore::log_records(std::unique_lock<std::mutex>& lock, std::vector<std::byte> bytes,
+                           std::size_t record_count) {
   const std::uint64_t my_epoch = epoch_;
   pending_.insert(pending_.end(), bytes.begin(), bytes.end());
   const std::uint64_t ticket = ++last_ticket_;
   pending_ticket_ = ticket;
   stats_.records.fetch_add(record_count, std::memory_order_relaxed);
   ensure_committer_locked();
+  if (DeferDurability::active()) {
+    // Covered by a record already durable in this log: keep the place in
+    // the queue and ride the flush the scope's exit starts.
+    DeferDurability::join(*this);
+    return;
+  }
   work_cv_.notify_one();
   // The epoch check must win over the ticket check: crash() resets tickets,
   // so a post-crash durable_ticket_ catching up to our stale ticket must
@@ -411,9 +417,13 @@ void WalStore::committer_loop() {
     flushing_ = true;
     lock.unlock();
     std::exception_ptr error;
+    std::string failure;
     try {
       append_and_sync(fd, batch);
-    } catch (...) {  // DurabilityError or a CrashPointHit kill
+    } catch (const std::exception& e) {
+      error = std::current_exception();
+      failure = e.what();
+    } catch (...) {  // a CrashPointHit kill
       error = std::current_exception();
     }
     lock.lock();
@@ -421,6 +431,11 @@ void WalStore::committer_loop() {
     if (epoch_ == my_epoch) {
       if (error) {
         wedge_ = error;
+        // A batch of deferred records has no writer to rethrow to, so every
+        // failed flush is reported here.
+        if (!failure.empty()) {
+          MCA_LOG(Error, "store") << "wal flush failed, log wedged until restart: " << failure;
+        }
       } else {
         durable_ticket_ = std::max(durable_ticket_, batch_ticket);
         active_size_ += batch.size();
@@ -493,7 +508,9 @@ void WalStore::checkpoint_locked(std::unique_lock<std::mutex>& lock) {
   throw_if_wedged_locked();
   const std::uint64_t my_epoch = epoch_;
   // Drain the committer so the image covers every appended record; releasing
-  // the lock here lets it finish.
+  // the lock here lets it finish. Deferred records whose scope is still open
+  // have no wake pending yet: start their flush instead of waiting for it.
+  work_cv_.notify_one();
   durable_cv_.wait(lock, [&] {
     return (pending_.empty() && !flushing_) || wedge_ != nullptr || epoch_ != my_epoch;
   });
@@ -676,6 +693,13 @@ void WalStore::open_active_segment_locked() {
 
 // -- introspection ------------------------------------------------------------------
 
+bool WalStore::wedged() const {
+  const std::scoped_lock lock(mutex_);
+  return wedge_ != nullptr;
+}
+
+void WalStore::wake_deferred() { work_cv_.notify_one(); }
+
 WalStore::Stats WalStore::stats() const {
   Stats out;
   out.records = stats_.records.load(std::memory_order_relaxed);
@@ -692,7 +716,9 @@ WalStore::Stats WalStore::stats() const {
 
 std::vector<fs::path> WalStore::fsck() const {
   std::unique_lock lock(mutex_);
-  // Quiesce so a concurrent append is not misread as a torn tail.
+  // Quiesce so a concurrent append is not misread as a torn tail (waking
+  // the committer for deferred records nobody has woken it for yet).
+  work_cv_.notify_one();
   durable_cv_.wait(lock, [&] { return (pending_.empty() && !flushing_) || wedge_ != nullptr; });
   std::vector<fs::path> bad;
   std::map<Uid, ObjectState> scratch_committed;

@@ -36,6 +36,14 @@
 // abort; only crash()+recovery (i.e. a node restart) clears the wedge, by
 // rebuilding from what actually reached the disk.
 //
+// Deferred writes: a mutation made inside a DeferDurability scope (lazy
+// phase two, DESIGN.md §5.4) updates the image and joins the queue in log
+// order like any other, but returns without waiting for its ticket; the
+// scope's exit wakes the committer. Log order is what makes this sound:
+// every later waited record is durable only once the deferred ones are. A
+// failed flush of deferred records has no waiter to rethrow to, so every
+// failed flush is logged at Error; the wedge still fails the next mutation.
+//
 // Threading: the committer thread is owned by the store and started lazily
 // on the first logged write — stores are constructed before the Runtime
 // spine exists, so it cannot live on the shared Executor. It is named
@@ -135,6 +143,15 @@ class WalStore final : public ObjectStore {
   // empty — the invariant checker asserts it.
   [[nodiscard]] std::vector<std::filesystem::path> fsck() const;
 
+  // True once a flush failed — a DurabilityError, or a simulated kill on
+  // the committer thread — until crash()+recovery clears it. A kill in a
+  // flush no writer waits on (deferred records only) reaches no node-kill
+  // catcher; this is how its owner finds out.
+  [[nodiscard]] bool wedged() const;
+
+ protected:
+  void wake_deferred() override;
+
  private:
   struct Counters {
     std::atomic<std::uint64_t> records{0};
@@ -155,10 +172,11 @@ class WalStore final : public ObjectStore {
 
   // Enqueues the already-framed `bytes`, wakes the committer and blocks
   // until every record in them is durable (or the log wedges / the store
-  // crashes under us). Caller holds `lk` and has already applied the
-  // mutation to the in-memory image.
-  void log_and_wait(std::unique_lock<std::mutex>& lk, std::vector<std::byte> bytes,
-                    std::size_t record_count);
+  // crashes under us). Inside a DeferDurability scope it only enqueues: the
+  // scope's exit wakes the committer. Caller holds `lk` and has already
+  // applied the mutation to the in-memory image.
+  void log_records(std::unique_lock<std::mutex>& lk, std::vector<std::byte> bytes,
+                   std::size_t record_count);
   void ensure_committer_locked();
   void committer_loop();
   // The committer's unlocked section: append `bytes` to `fd`, fsync if

@@ -20,14 +20,18 @@
 // property under test.
 //
 // Also here: registry unit tests, a seeded multi-crash chaos mode, the
-// double-kill recovery-window cases, and a regression proving the checker
-// catches the half-applied state a marker-before-shadows mutation leaves.
+// double-kill recovery-window cases, the lazy phase-two windows (a node
+// reported the commit, then lost the writes its durable record covers), a
+// live coordinator's own recovery pass racing its witnessed decision, and a
+// regression proving the checker catches the half-applied state a
+// marker-before-shadows mutation leaves.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
 #include <random>
 #include <thread>
+#include <type_traits>
 
 #include "dist/remote.h"
 #include "dist/wire.h"
@@ -184,6 +188,27 @@ struct BasicCluster {
     return uid;
   }
 
+  // A kill inside a WalStore flush no writer waits on (lazy phase-two
+  // records only) fires on the store's committer thread, which no node-kill
+  // catcher unwinds through: the store only wedges. This plays the process
+  // death the kill stands for — it crashes every up node whose log it tore.
+  // Returns whether it crashed any. Only lazy sweep cases call it: a kill in
+  // a waited flush must take its node down through the waiting writer.
+  bool crash_nodes_with_wedged_logs() {
+    bool crashed = false;
+    if constexpr (std::is_same_v<StoreT, WalStore>) {
+      const std::pair<DistNode*, const WalStore*> logs[] = {
+          {&c, &c_store}, {&p1, &p1_store}, {&p2, &p2_files}};
+      for (const auto& [node, log] : logs) {
+        if (node->up() && log->wedged()) {
+          node->crash();
+          crashed = true;
+        }
+      }
+    }
+    return crashed;
+  }
+
   // Brings every down node back; if the coordinator was the victim, the
   // participants are power-cycled too (see the file comment).
   void recover_cluster() {
@@ -266,6 +291,10 @@ struct SweepCase {
   unsigned skip;
   bool commits;  // expected outcome once the dust settles
   bool veto;     // node 3 vetoes phase one, forcing the abort path
+  // The window is a WAL flush of lazy phase-two records, which no writer
+  // waits on: the kill fires on the store's committer, possibly after
+  // commit() returned, and only wedges the log (crash_nodes_with_wedged_logs).
+  bool lazy = false;
 };
 
 std::ostream& operator<<(std::ostream& os, const SweepCase& c) {
@@ -321,11 +350,19 @@ void run_kill_window_case(const SweepCase& sc, typename StoreT::Options store_op
   crash_points::arm(sc.point, sc.skip);
   const Uid action = cl.run_transfer();
 
+  if (sc.lazy) {
+    ASSERT_TRUE(wait_until([] { return crash_points::last_fired().has_value(); }, 5'000ms))
+        << "the armed window never executed";
+  }
   ASSERT_EQ(crash_points::last_fired().value_or("<none>"), sc.point)
       << "the armed window never executed";
   crash_points::disarm_all();
   cl.veto_p2->store(false);
 
+  if (sc.lazy) {
+    ASSERT_TRUE(wait_until([&] { return cl.crash_nodes_with_wedged_logs(); }, 5'000ms))
+        << "the fired crash point wedged no log";
+  }
   const bool any_down = !cl.c.up() || !cl.p1.up() || !cl.p2.up();
   ASSERT_TRUE(any_down) << "the fired crash point killed no node";
 
@@ -362,10 +399,14 @@ INSTANTIATE_TEST_SUITE_P(AllWindows, CrashSweep, ::testing::ValuesIn(kSweepCases
 
 // Prepare is serial, so the first five WAL flushes land in a deterministic
 // order: [0] node2 shadow batch, [1] node2 prepared marker, [2] node3 shadow
-// batch, [3] node3 prepared marker, [4] coordinator log. Flush [5] is the
-// first phase-two commit_shadow record (parallel termination races which
-// participant gets there first, but the expected outcome is the same either
-// way).
+// batch, [3] node3 prepared marker, [4] coordinator log. The coordinator
+// promotes nothing of its own, so flush [5] is a participant's lazy
+// phase-two append: its promotion and marker drop, queued without a waiter
+// after it acked tx.commit (parallel termination races which participant
+// gets there first; the expected outcome is the same either way). A kill
+// there fires on the store's committer, so the harness crashes the node
+// whose log it tore (crash_nodes_with_wedged_logs); every other case must
+// take its node down by itself.
 const SweepCase kWalSweepCases[] = {
     // Torn mid-record: the frame fails its CRC walk on replay and the tail
     // is truncated, so the record was never written — presumed abort through
@@ -375,7 +416,9 @@ const SweepCase kWalSweepCases[] = {
     {"store.wal.append.mid_record", 2, false, false},
     {"store.wal.append.mid_record", 3, false, false},
     {"store.wal.append.mid_record", 4, false, false},
-    {"store.wal.append.mid_record", 5, true, false},
+    // The acked participant's promotion and marker drop never reached the
+    // log: it restarts in doubt and redoes both after tx.status says commit.
+    {"store.wal.append.mid_record", 5, true, false, /*lazy=*/true},
     // Appended but never fsynced: under the simulated crash model the page
     // cache survives the kill, so the record IS durable — but the store
     // reported nothing, so the protocol never advanced. Votes that never
@@ -386,6 +429,9 @@ const SweepCase kWalSweepCases[] = {
     {"store.wal.append.pre_fsync", 2, false, false},
     {"store.wal.append.pre_fsync", 3, false, false},
     {"store.wal.append.pre_fsync", 4, true, false},
+    // The lazy append [5] landed whole before the kill: the participant
+    // restarts with nothing in doubt.
+    {"store.wal.append.pre_fsync", 5, true, false, /*lazy=*/true},
     // Veto path over the WAL backend: same windows as the FileStore sweep.
     {"tpc.coord.abort.pre_send", 0, false, true},
     {"tpc.participant.abort.pre_discard", 0, false, true},
@@ -426,6 +472,118 @@ TEST_F(WalCheckpointWindows, UnrenamedTmpIsDiscarded) {
 
 TEST_F(WalCheckpointWindows, InterruptedCompactionCompletesOnRecovery) {
   run("store.wal.checkpoint.pre_compact");
+}
+
+// ---------------------------------------------------------------------------
+// Lazy phase two: a node reported the commit, then lost the writes its
+// durable record covers
+// ---------------------------------------------------------------------------
+
+// Coordinator 1 hosts `z`, participant 2 hosts `a`; the transfer moves
+// kDelta from z to a, so both sides promote a shadow in phase two. Only the
+// node under test runs on a WalStore (the other on a FileStore), so its
+// flushes are the only ones the store.wal points count: [0] its shadow
+// batch, [1] its prepared marker (participant) or sealed decision record
+// (coordinator), [2] its lazy phase-two append — promotion plus marker drop,
+// or promotion plus the Applied rewrite. Tearing [2] loses both writes after
+// the node already reported the commit.
+template <typename CoordStoreT, typename PartStoreT>
+struct LazyCluster {
+  TempDir dir;
+  Network net;
+  CoordStoreT c_store;
+  PartStoreT p_store;
+  DistNode c, p;
+  RecoverableInt z, a;
+
+  explicit LazyCluster(const std::string& tag)
+      : dir(fs::temp_directory_path() / ("mca_crash_sweep_" + tag + "_" + Uid().to_string())),
+        net(fast_config()),
+        c_store(dir.path / "c"),
+        p_store(dir.path / "p"),
+        c(net, 1, &c_store),
+        p(net, 2, &p_store),
+        z(c.runtime(), kInitial),
+        a(p.runtime(), kInitial) {
+    for (DistNode* n : {&c, &p}) {
+      n->set_recovery_options(DistNode::RecoveryOptions{/*period=*/50ms,
+                                                        /*call_timeout=*/200ms,
+                                                        /*backoff_max=*/200ms});
+      n->set_tpc_call_timeout(300ms);
+      n->set_invoke_timeout(2'000ms);
+    }
+    c.host(z);
+    p.host(a);
+  }
+
+  // Commits the transfer with store.wal.append.mid_record armed at the
+  // node under test's lazy append, and returns the action once that kill
+  // has torn it.
+  Uid commit_then_tear_lazy_append(const WalStore& victim) {
+    crash_points::reset();
+    crash_points::arm("store.wal.append.mid_record", 2);
+    AtomicAction act(c.runtime());
+    act.begin();
+    const Uid uid = act.uid();
+    z.add(-kDelta);
+    RemoteInt(c, p.id(), a.uid()).add(kDelta);
+    EXPECT_EQ(act.commit(), Outcome::Committed);
+    // The kill fires on the victim's committer thread after commit()
+    // returned; it leaves the log wedged for its owner to find.
+    EXPECT_TRUE(wait_until([&] { return victim.wedged(); }, 5'000ms));
+    EXPECT_EQ(crash_points::fire_count("store.wal.append.mid_record"), 1u);
+    crash_points::disarm_all();
+    return uid;
+  }
+
+  void check(ConsistencyReport& report) {
+    consistency::check_node(c, report);
+    consistency::check_node(p, report);
+    EXPECT_EQ(BasicCluster<CoordStoreT>::stored(c.runtime(), z.uid()), kInitial - kDelta);
+    EXPECT_EQ(BasicCluster<CoordStoreT>::stored(p.runtime(), a.uid()), kInitial + kDelta);
+  }
+};
+
+TEST(LazyPhaseTwo, AckedParticipantRedoesLostPromotionViaTxStatus) {
+  LazyCluster<FileStore, WalStore> cl("lazy_participant");
+  const Uid action = cl.commit_then_tear_lazy_append(cl.p_store);
+
+  // The process death the kill stands for. The log replays to "marker +
+  // shadow": the participant is in doubt about a transaction it acked.
+  cl.p.crash();
+  EXPECT_EQ(cl.p.in_doubt_count(), 1u);
+  EXPECT_TRUE(cl.p_store.read_shadow(cl.a.uid()).has_value());
+
+  cl.p.restart();
+  ASSERT_TRUE(wait_until([&] { return cl.p.in_doubt_count() == 0; }, 15'000ms));
+  EXPECT_GE(cl.p.recovery_stats().resolved_committed, 1u);
+  EXPECT_TRUE(CoordinatorLogParticipant::committed(cl.c.runtime(), action));
+  ConsistencyReport report;
+  cl.check(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(LazyPhaseTwo, CommittedCoordinatorRedoesLostPromotionFromItsSealedRecord) {
+  LazyCluster<WalStore, FileStore> cl("lazy_coordinator");
+  const Uid action = cl.commit_then_tear_lazy_append(cl.c_store);
+
+  // The log replays to "Sealed record + shadow": commit() already returned
+  // Committed, but neither the promotion nor the Applied rewrite landed.
+  cl.c.crash();
+  const auto sealed = CoordinatorLogParticipant::read_record(cl.c.runtime(), action);
+  ASSERT_TRUE(sealed.has_value());
+  EXPECT_EQ(sealed->state, CoordinatorLogParticipant::RecordState::Sealed);
+  EXPECT_TRUE(cl.c_store.read_shadow(cl.z.uid()).has_value());
+
+  // Restart's synchronous recovery pass redoes the promotion and retires
+  // the record.
+  cl.c.restart();
+  const auto applied = CoordinatorLogParticipant::read_record(cl.c.runtime(), action);
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_EQ(applied->state, CoordinatorLogParticipant::RecordState::Applied);
+  ConsistencyReport report;
+  cl.check(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -768,6 +926,27 @@ TEST(WitnessReconcile, RestartDiscardsFullyFencedPendingRecord) {
   EXPECT_FALSE(CoordinatorLogParticipant::committed(cl.c.runtime(), action));
   EXPECT_EQ(Cluster::stored(cl.p1.runtime(), cl.a.uid()), kInitial);
   EXPECT_EQ(Cluster::stored(cl.p2.runtime(), cl.b.uid()), kInitial);
+}
+
+// A live coordinator's own recovery pass must leave its witnessed decision
+// alone. The pass runs at the worst moment — Pending record durable, no
+// tx.mirror sent yet — on the committing thread itself, so it completes
+// before the fan-out. It used to take the record for a crash leftover,
+// fence both witnesses and turn the commit into "no witness acknowledged".
+TEST(WitnessReconcile, LiveCoordinatorPassLeavesItsOwnDecisionAlone) {
+  crash_points::reset();
+  WitnessCluster cl;
+  crash_points::arm("tpc.coord.post_log_pre_mirror", 0,
+                    [&] { cl.c.recover_once(/*ignore_backoff=*/true); });
+  const Uid action = cl.run_transfer();
+  ASSERT_EQ(crash_points::fire_count("tpc.coord.post_log_pre_mirror"), 1u);
+  ASSERT_TRUE(cl.c.up());
+
+  EXPECT_TRUE(CoordinatorLogParticipant::committed(cl.c.runtime(), action));
+  EXPECT_FALSE(WitnessLog::has_tombstone(cl.w1.runtime(), action));
+  EXPECT_FALSE(WitnessLog::has_tombstone(cl.w2.runtime(), action));
+  EXPECT_EQ(Cluster::stored(cl.p1.runtime(), cl.a.uid()), kInitial - kDelta);
+  EXPECT_EQ(Cluster::stored(cl.p2.runtime(), cl.b.uid()), kInitial + kDelta);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <random>
 #include <thread>
 
+#include "storage/faulty_store.h"
 #include "storage/file_store.h"
 #include "storage/wal_store.h"
 
@@ -267,6 +268,190 @@ TEST_F(WalTest, BatchIsOneFlushOneFsync) {
   EXPECT_EQ(after.flushes - before.flushes, 1u);
   EXPECT_EQ(after.fsyncs - before.fsyncs, 1u);
   EXPECT_EQ(store.uids().size(), 16u);
+}
+
+// -- deferred writes (DeferDurability scopes, lazy phase two) -----------------
+
+// Holds every flush inside fsync while closed: a test can prove a write
+// returned without waiting, and queue records behind a flush in progress.
+struct FsyncGate {
+  std::atomic<bool> open{true};
+  std::atomic<int> held{0};  // flushes blocked in fsync right now
+
+  WalStore::Options options() {
+    WalStore::Options o;
+    o.fsync_fn = [this](int fd) {
+      held.fetch_add(1);
+      while (!open.load()) std::this_thread::sleep_for(100us);
+      held.fetch_sub(1);
+      return ::fsync(fd);
+    };
+    return o;
+  }
+};
+
+template <typename Pred>
+bool eventually(Pred&& pred) {
+  const auto end = std::chrono::steady_clock::now() + 10s;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > end) return false;
+    std::this_thread::sleep_for(100us);
+  }
+  return true;
+}
+
+TEST_F(WalTest, DeferredWriteIsVisibleAtOnceAndDurableAfterTheNextFlush) {
+  FsyncGate gate;
+  gate.open.store(false);
+  WalStore store(dir_, gate.options());
+  // The scope reaches the log through a decorator that only forwards the
+  // ObjectStore calls.
+  FaultyStore decorated(store, nullptr);
+  const Uid a;
+  {
+    const DeferDurability lazy;
+    decorated.write(make_state(a, "lazy"));
+  }
+  // The write returned; its flush is only now held inside fsync.
+  EXPECT_TRUE(eventually([&] { return gate.held.load() == 1; }));
+  EXPECT_EQ(payload_of(*store.read(a)), "lazy");
+  EXPECT_EQ(store.stats().flushes, 0u);
+
+  gate.open.store(true);
+  ASSERT_TRUE(eventually([&] { return store.stats().flushes == 1; }));
+  store.crash();  // rebuild from the disk alone
+  EXPECT_EQ(payload_of(*store.read(a)), "lazy");
+}
+
+TEST_F(WalTest, CrashBeforeItsFlushLosesADeferredWrite) {
+  FsyncGate gate;
+  WalStore store(dir_, gate.options());
+  const Uid before, in_flight, lazy;
+  store.write(make_state(before, "durable"));
+
+  // A waited write's flush is held inside fsync; the deferred write queues
+  // behind it.
+  gate.open.store(false);
+  std::atomic<bool> in_flight_failed{false};
+  std::thread writer([&] {
+    try {
+      store.write(make_state(in_flight, "appended"));
+    } catch (const DurabilityError&) {
+      in_flight_failed.store(true);
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return gate.held.load() == 1; }));
+  {
+    const DeferDurability scope;
+    store.write(make_state(lazy, "never appended"));
+  }
+  EXPECT_TRUE(store.read(lazy).has_value());
+
+  // crash() drops the queue and releases the waiter at once, then waits
+  // for the held flush to finish before it replays.
+  std::thread crasher([&] { store.crash(); });
+  ASSERT_TRUE(eventually([&] { return in_flight_failed.load(); }));
+  gate.open.store(true);
+  crasher.join();
+  writer.join();
+
+  EXPECT_FALSE(store.read(lazy).has_value());
+  EXPECT_EQ(payload_of(*store.read(before)), "durable");
+  // Appended before the kill: the simulated crash keeps the page cache.
+  EXPECT_EQ(payload_of(*store.read(in_flight)), "appended");
+  EXPECT_TRUE(store.fsck().empty());
+}
+
+TEST_F(WalTest, LaterWaitedWriteMakesEarlierDeferredWritesDurable) {
+  FsyncGate gate;
+  WalStore store(dir_, gate.options());
+  const Uid first, promoted, marker, waited;
+  store.write_shadow(make_state(promoted, "shadow"));
+  store.write(make_state(marker, "marker"));
+
+  gate.open.store(false);
+  std::thread held([&] { store.write(make_state(first, "flush 1")); });
+  ASSERT_TRUE(eventually([&] { return gate.held.load() == 1; }));
+  {
+    const DeferDurability lazy;
+    EXPECT_TRUE(store.commit_shadow(promoted));
+    EXPECT_TRUE(store.remove(marker));
+  }
+  std::thread later([&] { store.write(make_state(waited, "waited")); });
+  ASSERT_TRUE(eventually([&] { return store.stats().records == 6; }));
+  const auto flushes_before = store.stats().flushes;
+  gate.open.store(true);
+  held.join();
+  later.join();
+
+  // The waited write returned, so the deferred records queued ahead of it
+  // are durable: one flush carried all three.
+  EXPECT_EQ(store.stats().flushes - flushes_before, 2u);
+  store.crash();
+  EXPECT_EQ(payload_of(*store.read(promoted)), "shadow");
+  EXPECT_FALSE(store.read_shadow(promoted).has_value());
+  EXPECT_FALSE(store.read(marker).has_value());
+  EXPECT_EQ(payload_of(*store.read(waited)), "waited");
+}
+
+TEST_F(WalTest, FailedFlushOfOnlyDeferredRecordsWedgesAndIsLogged) {
+  auto fail = std::make_shared<std::atomic<bool>>(false);
+  WalStore::Options options;
+  options.fsync_fn = [fail](int fd) {
+    if (fail->load()) {
+      errno = EIO;
+      return -1;
+    }
+    return ::fsync(fd);
+  };
+  WalStore store(dir_, options);
+  const Uid ok, lazy, next;
+  store.write(make_state(ok, "before"));
+
+  fail->store(true);
+  ::testing::internal::CaptureStderr();
+  {
+    const DeferDurability scope;
+    store.write(make_state(lazy, "refused"));  // nobody waits: no throw here
+  }
+  ASSERT_TRUE(eventually([&] { return store.wedged(); }));
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("ERROR [store] wal flush failed, log wedged"), std::string::npos)
+      << log;
+  EXPECT_GE(store.stats().fsync_failures, 1u);
+
+  // The next mutation rethrows, waited or deferred.
+  EXPECT_THROW(store.write(make_state(next, "blocked")), DurabilityError);
+  {
+    const DeferDurability scope;
+    EXPECT_THROW(store.remove(ok), DurabilityError);
+  }
+
+  fail->store(false);
+  store.crash();
+  EXPECT_FALSE(store.wedged());
+  EXPECT_EQ(payload_of(*store.read(ok)), "before");
+  EXPECT_TRUE(store.fsck().empty());
+}
+
+TEST_F(WalTest, CheckpointAndFsckDrainDeferredRecords) {
+  WalStore::Options options;
+  options.checkpoint_threshold_bytes = 0;  // manual checkpoints only
+  WalStore store(dir_, options);
+  const Uid a, b;
+  store.write(make_state(a, "waited"));  // the committer is running, idle
+  {
+    const DeferDurability lazy;
+    store.write(make_state(b, "deferred"));
+    // Still inside the scope, so nothing has woken the committer for b:
+    // both calls must flush it rather than wait for a wake that never comes.
+    EXPECT_TRUE(store.fsck().empty());
+    store.checkpoint();
+  }
+  EXPECT_EQ(store.stats().checkpoints, 1u);
+  store.crash();  // the checkpoint alone carries both
+  EXPECT_EQ(payload_of(*store.read(a)), "waited");
+  EXPECT_EQ(payload_of(*store.read(b)), "deferred");
 }
 
 // The two stable backends must agree on every observable after the same
