@@ -335,6 +335,7 @@ std::size_t AtomicAction::undo_record_count() const {
 }
 
 bool AtomicAction::prepare_permanent(const std::vector<Colour>& permanent,
+                                     const ShadowCover& cover,
                                      std::vector<UndoRecord*>& prepared) {
   const std::scoped_lock lock(mutex_);
   if (!parallel_termination()) {
@@ -342,7 +343,7 @@ bool AtomicAction::prepare_permanent(const std::vector<Colour>& permanent,
     for (UndoRecord& r : undo_) {
       if (std::find(permanent.begin(), permanent.end(), r.colour) == permanent.end()) continue;
       try {
-        r.object->store().write_shadow(r.object->make_object_state());
+        cover.write(r.object->store(), {r.object->make_object_state()});
         prepared.push_back(&r);
       } catch (const std::exception& e) {
         MCA_LOG(Warn, "action") << "prepare failed for object " << r.object->uid() << ": "
@@ -376,7 +377,7 @@ bool AtomicAction::prepare_permanent(const std::vector<Colour>& permanent,
     std::vector<ObjectState> states;
     states.reserve(batches[i].second.size());
     for (UndoRecord* r : batches[i].second) states.push_back(r->object->make_object_state());
-    batches[i].first->write_batch(states, WriteKind::Shadow);
+    cover.write(*batches[i].first, states);
   };
 
   std::vector<std::exception_ptr> errors(batches.size());
@@ -518,9 +519,17 @@ Outcome AtomicAction::commit() {
 
   // Phase one: shadows for every permanent-colour update, then participants.
   // Any failure aborts the whole action — failure atomicity spans all the
-  // action's colours (§5.1 property 1).
+  // action's colours (§5.1 property 1). A participant's decision record
+  // covers the shadows in its store at both ends of the commit (DESIGN.md
+  // §5.4): at prepare they only queue, and its flush (or a veto's discards)
+  // carries them.
+  ObjectStore* decision_store = nullptr;
+  for (const auto& p : participants) {
+    if ((decision_store = p->decision_store()) != nullptr) break;
+  }
+  ShadowCover cover(decision_store);
   std::vector<UndoRecord*> prepared;
-  if (!prepare_permanent(permanent, prepared)) {
+  if (!prepare_permanent(permanent, cover, prepared)) {
     rt_.note_prepare_failure();
     abort();
     return Outcome::Aborted;
@@ -619,14 +628,12 @@ Outcome AtomicAction::commit() {
     }
   }
   // Phase two: promote shadows, then process locks and records per colour.
-  // Promotions in the default store go to whichever participant's durable
-  // decision record covers them (lazy phase two); the rest wait per write.
-  CoveredPromotions promotions(rt_.default_store());
-  for (UndoRecord* r : prepared) promotions.add(r->object->store(), r->object->uid());
-  const bool covered = std::any_of(participants.begin(), participants.end(), [&](const auto& p) {
-    return p->promote_covered(uid_, promotions);
-  });
-  if (!covered) promotions.promote();
+  // Covered promotions go to the participant whose durable decision record
+  // covers them (lazy phase two); the rest wait per write.
+  for (UndoRecord* r : prepared) cover.add(r->object->store(), r->object->uid());
+  const bool covered = std::any_of(participants.begin(), participants.end(),
+                                   [&](const auto& p) { return p->promote_covered(uid_, cover); });
+  if (!covered) cover.promote();
 
   for (const Resolution& res : resolutions) {
     if (res.heir == nullptr) {

@@ -108,15 +108,20 @@ class TerminationParticipant {
     (void)prepared_objects;
     return true;
   }
+  // Covered prepare (DESIGN.md §5.4): the store decide_commit writes the
+  // action's decision record into, or null (the default) when it writes
+  // none. The kernel's prepare shadows in that store then only queue: the
+  // record's flush (or, on a veto, the discards') carries them.
+  [[nodiscard]] virtual ObjectStore* decision_store() const { return nullptr; }
   // Lazy phase two (DESIGN.md §5.4): called once every decide_commit
   // succeeded, before any lock moves. `promotions` holds the prepared
-  // shadows that live in the runtime's default store (the others are
+  // shadows that live in the decision record's store (the others are
   // promoted already). A participant whose decision record, durable in that
   // store, names them takes the job: it runs `promotions.promote()` and
   // retires its record inside one DeferDurability scope, so none of those
   // writes waits for its own flush, and returns true. The default declines;
   // if nobody takes it the kernel promotes with a wait per write.
-  virtual bool promote_covered(const Uid& action, const CoveredPromotions& promotions) {
+  virtual bool promote_covered(const Uid& action, const ShadowCover& promotions) {
     (void)action;
     (void)promotions;
     return false;
@@ -337,6 +342,7 @@ class AtomicAction {
   void end_bookkeeping();
   void restore_undo_records();
   [[nodiscard]] bool prepare_permanent(const std::vector<Colour>& permanent,
+                                       const ShadowCover& cover,
                                        std::vector<UndoRecord*>& prepared);
 
   Runtime& rt_;

@@ -15,7 +15,9 @@ namespace {
 
 // Protocol records live in the same stores as object states; their keys are
 // derived from the action uid so they cannot collide with each other when a
-// node both coordinates and participates.
+// node both coordinates and participates. Each derivation XORs a constant
+// into the high word, so it is its own inverse: applied to a key it gives
+// back the action uid.
 Uid marker_uid(const Uid& action) {
   return Uid(action.hi() ^ 0x4D43415F5052455BULL, action.lo());
 }
@@ -119,11 +121,12 @@ void ParticipantTable::drop_marker(const Uid& action) {
 }
 
 void ParticipantTable::write_shadow_batches(
-    std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>>& batches) {
+    std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>>& batches,
+    const ShadowCover& cover) {
   if (!AtomicAction::parallel_termination() || batches.size() <= 1) {
     // Serial reference path — also keeps crash-point hit order deterministic
     // for the sweep harness when the ablation toggle is off.
-    for (auto& [store, states] : batches) store->write_batch(states, WriteKind::Shadow);
+    for (auto& [store, states] : batches) cover.write(*store, states);
     return;
   }
   std::vector<std::exception_ptr> errors(batches.size());
@@ -131,7 +134,7 @@ void ParticipantTable::write_shadow_batches(
   for (std::size_t i = 1; i < batches.size(); ++i) {
     auto work = [&, i] {
       try {
-        batches[i].first->write_batch(batches[i].second, WriteKind::Shadow);
+        cover.write(*batches[i].first, batches[i].second);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -141,7 +144,7 @@ void ParticipantTable::write_shadow_batches(
     if (!rt_.executor().try_submit(work)) work();
   }
   try {
-    batches[0].first->write_batch(batches[0].second, WriteKind::Shadow);
+    cover.write(*batches[0].first, batches[0].second);
   } catch (...) {
     errors[0] = std::current_exception();
   }
@@ -175,6 +178,11 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
   Mirror& mirror = it->second;
   mirror.prepared.clear();
   MCA_CRASHPOINT("tpc.participant.prepare.pre_shadow");
+  // The marker, written below into the default store, covers the shadows
+  // there (covered prepare, DESIGN.md §5.4): they only queue, and the
+  // marker's flush — or the failure path's discards — carries them, so the
+  // vote costs one append.
+  const ShadowCover cover(&rt_.default_store());
   try {
     // Collect the shadow states per store first, then hand each store the
     // whole batch: a group-committing store coalesces the per-write
@@ -197,7 +205,7 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
       }
       mirror.action->adopt_records(std::move(records));
     }
-    write_shadow_batches(batches);
+    write_shadow_batches(batches, cover);
   } catch (const std::exception& e) {
     MCA_LOG(Warn, "tpc") << "prepare " << action << " failed: " << e.what();
     for (const auto& [uid, colour] : mirror.prepared) {
@@ -206,9 +214,10 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
     mirror.prepared.clear();
     return false;
   }
-  // The classic in-doubt window: shadows are durable but no marker names the
-  // coordinator yet. A kill here must come back as a presumed abort with the
-  // orphaned shadows swept by discard_unreferenced_shadows().
+  // The classic in-doubt window: shadows written (on a WalStore only
+  // queued) but no marker names the coordinator yet. A kill here must come
+  // back as a presumed abort with any orphaned shadows swept by
+  // discard_unreferenced_shadows().
   MCA_CRASHPOINT("tpc.participant.post_shadow_pre_marker");
   write_marker(action, coordinator, mirror.prepared, witnesses);
   MCA_CRASHPOINT("tpc.participant.prepare.post_marker");
@@ -286,7 +295,7 @@ void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInf
   // group commit (lazy phase two): a crash before they land replays to
   // "marker + shadows", which tx.status resolution redoes. Shadows in other
   // stores are not covered and wait per write.
-  CoveredPromotions promotions(rt_.default_store());
+  ShadowCover promotions(&rt_.default_store());
   for (const wire::HeirInfo& h : heirs) {
     if (!h.heir.is_nil()) continue;
     for (const auto& [uid, colour] : mirror.prepared) {
@@ -415,8 +424,7 @@ std::vector<ParticipantTable::InDoubtEntry> ParticipantTable::in_doubt() const {
       const std::uint32_t wn = payload.unpack_u32();
       for (std::uint32_t i = 0; i < wn; ++i) entry.witnesses.push_back(payload.unpack_u32());
     }
-    // Reverse the marker-key derivation to recover the action uid.
-    entry.action = Uid(uid.hi() ^ 0x4D43415F5052455BULL, uid.lo());
+    entry.action = marker_uid(uid);  // the key derivation is its own inverse
     out.push_back(std::move(entry));
   }
   return out;
@@ -432,8 +440,7 @@ std::size_t ParticipantTable::discard_unreferenced_shadows() {
     auto state = rt_.default_store().read(uid);
     if (!state) continue;
     if (state->type_name() == kCoordinatorLogType) {
-      const Uid action(uid.hi() ^ 0x4D43415F434C4F47ULL, uid.lo());
-      if (auto rec = CoordinatorLogParticipant::read_record(rt_, action)) {
+      if (auto rec = CoordinatorLogParticipant::read_record(rt_, log_uid(uid))) {
         for (const Uid& u : rec->redo_uids) referenced.insert(u);
       }
       continue;
@@ -802,7 +809,7 @@ bool CoordinatorLogParticipant::decide_commit(const Uid& action,
 }
 
 bool CoordinatorLogParticipant::promote_covered(const Uid& action,
-                                                const CoveredPromotions& promotions) {
+                                                const ShadowCover& promotions) {
   if (!decided_) return false;
   // The sealed record is durable in the default store and names these
   // shadows: a crash before the writes below land replays to "Sealed record
@@ -944,8 +951,7 @@ std::vector<Uid> CoordinatorLogParticipant::logged_actions(Runtime& rt) {
   for (const Uid& uid : rt.default_store().uids()) {
     auto state = rt.default_store().read(uid);
     if (state && state->type_name() == kCoordinatorLogType) {
-      // Reverse the log-key derivation to recover the action uid.
-      out.emplace_back(uid.hi() ^ 0x4D43415F434C4F47ULL, uid.lo());
+      out.push_back(log_uid(uid));  // the key derivation is its own inverse
     }
   }
   return out;

@@ -146,12 +146,13 @@ class ParticipantTable {
     std::vector<std::pair<Uid, Colour>> prepared;
   };
 
-  // Lands every per-store batch: concurrently on the runtime executor when
-  // parallel termination is on and more than one store is involved, else
-  // serially. std::exception failures surface as-is (prepare vetoes);
-  // anything else — a simulated kill — tunnels out unwrapped.
+  // Lands every per-store batch through `cover`: concurrently on the runtime
+  // executor when parallel termination is on and more than one store is
+  // involved, else serially. std::exception failures surface as-is (prepare
+  // vetoes); anything else — a simulated kill — tunnels out unwrapped.
   void write_shadow_batches(
-      std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>>& batches);
+      std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>>& batches,
+      const ShadowCover& cover);
 
   void write_marker(const Uid& action, NodeId coordinator,
                     const std::vector<std::pair<Uid, Colour>>& prepared,
@@ -255,10 +256,14 @@ class RpcParticipant final : public TerminationParticipant {
 //            transaction's shadow on the same object can never be promoted
 //            by this record.
 //
-// Lazy phase two: the Sealed record covers the kernel's default-store
-// promotions, so promote_covered runs them and the Applied rewrite without
-// waiting for their flush, before any lock is released — a later action's
-// shadow on the same object is then always logged behind the rewrite.
+// The record covers the kernel's default-store shadows at both ends of the
+// commit (DESIGN.md §5.4). Covered prepare: decision_store() tells the
+// kernel to only queue them, so the Pending or Sealed record's flush carries
+// them.
+// Lazy phase two: the Sealed record covers their promotions, so
+// promote_covered runs them and the Applied rewrite without waiting for
+// their flush, before any lock is released — a later action's shadow on the
+// same object is then always logged behind the rewrite.
 class CoordinatorLogParticipant final : public TerminationParticipant {
  public:
   enum class RecordState : std::uint8_t { Pending = 0, Sealed = 1, Applied = 2, Delta = 3 };
@@ -272,7 +277,8 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
 
   bool prepare(const Uid&, const std::vector<Colour>&) override { return true; }
   bool decide_commit(const Uid& action, const std::vector<Uid>& prepared_objects) override;
-  bool promote_covered(const Uid& action, const CoveredPromotions& promotions) override;
+  [[nodiscard]] ObjectStore* decision_store() const override { return &rt_.default_store(); }
+  bool promote_covered(const Uid& action, const ShadowCover& promotions) override;
   void commit(const Uid& action, const std::vector<ColourDisposition>&) override;
   void abort(const Uid&) override {}
 

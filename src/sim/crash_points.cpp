@@ -37,8 +37,8 @@ constexpr Info kPoints[] = {
      "participant prepare: vote requested, nothing durable yet — coordinator sees no vote, "
      "presumes abort"},
     {"tpc.participant.post_shadow_pre_marker",
-     "participant prepare: shadows durable, prepared marker absent — restart must presume abort "
-     "and discard the unreferenced shadows"},
+     "participant prepare: shadows written (on a WalStore only queued, no flush yet), prepared "
+     "marker absent — restart must presume abort and discard any unreferenced shadows"},
     {"tpc.participant.prepare.post_marker",
      "participant prepare: marker durable, YES vote never sent — participant restarts in doubt, "
      "coordinator presumes abort"},
@@ -58,10 +58,11 @@ constexpr Info kPoints[] = {
      "in-doubt resolution: outcome applied, marker not yet dropped — a second recovery pass must "
      "be idempotent"},
     {"tpc.coord.phase1.pre_send",
-     "coordinator: commit entered, no prepare sent — participants never hear of the transaction"},
+     "coordinator: commit entered, own shadows written (on a WalStore only queued when a decision "
+     "record will cover them), no prepare sent — participants never hear of the transaction"},
     {"tpc.coord.post_prepare_pre_log",
-     "coordinator: all YES votes in, commit record not logged — participants in doubt, absence of "
-     "the record means abort"},
+     "coordinator: all YES votes in, commit record not logged (own shadows on a WalStore still "
+     "only queued) — participants in doubt, absence of the record means abort"},
     {"tpc.coord.post_log_pre_mirror",
      "coordinator: pending decision record durable, no mirror sent — every witness fences, "
      "participants and restart reconciliation presume abort"},

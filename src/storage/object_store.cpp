@@ -7,7 +7,8 @@ namespace mca {
 namespace {
 
 struct DeferredScope {
-  int depth = 0;
+  int depth = 0;          // open DeferDurability scopes
+  int forward_depth = 0;  // open DeferToNextWrite scopes
   std::vector<ObjectStore*> joined;  // stores to wake when the outermost scope closes
 };
 
@@ -32,15 +33,30 @@ void DeferDurability::join(ObjectStore& store) {
   if (std::find(joined.begin(), joined.end(), &store) == joined.end()) joined.push_back(&store);
 }
 
-void CoveredPromotions::add(ObjectStore& store, const Uid& uid) {
-  if (&store == covering_) {
+DeferToNextWrite::DeferToNextWrite() noexcept { ++tls_deferred.forward_depth; }
+
+DeferToNextWrite::~DeferToNextWrite() { --tls_deferred.forward_depth; }
+
+bool DeferToNextWrite::active() noexcept { return tls_deferred.forward_depth > 0; }
+
+void ShadowCover::write(ObjectStore& store, const std::vector<ObjectState>& states) const {
+  if (!covers(store)) {
+    store.write_batch(states, WriteKind::Shadow);
+    return;
+  }
+  const DeferToNextWrite ride;
+  store.write_batch(states, WriteKind::Shadow);
+}
+
+void ShadowCover::add(ObjectStore& store, const Uid& uid) {
+  if (covers(store)) {
     held_.push_back(uid);
   } else {
     store.commit_shadow(uid);
   }
 }
 
-void CoveredPromotions::promote() const {
+void ShadowCover::promote() const {
   for (const Uid& uid : held_) covering_->commit_shadow(uid);
 }
 

@@ -36,18 +36,20 @@ enum class WriteKind { Committed, Shadow };
 
 class ObjectStore;
 
-// Lazy durability for writes an already-durable record covers (DESIGN.md
-// §5.4). While a scope is open on a thread, that thread's mutations of a
-// store that group-commits (WalStore) update the store's image and join its
-// log in order, but return without waiting for their own flush; the
-// outermost scope's exit starts that flush. Sound only for writes a record
-// that is already durable in the SAME store makes redo-able: any later
-// waited write to that store is durable only once they are, and a crash
-// before they land replays to the covering record, whose recovery redoes
-// them. Writes to any other store must not run inside a scope. FileStore
-// and MemoryStore ignore it and stay synchronous. The hint travels with
-// the thread, so it reaches a store through decorators that only forward
-// the ObjectStore calls.
+// The two covers (DESIGN.md §5.4, §5.6): a write that a record in the SAME
+// store covers need not wait for its own flush. While a scope is open on a
+// thread, that thread's mutations of a store that group-commits (WalStore)
+// update the store's image and join its log in order, but return without
+// waiting. Writes to any other store must not run inside a scope. Both
+// hints travel with the thread, so they reach a store through decorators
+// that only forward the ObjectStore calls; FileStore and MemoryStore ignore
+// them and stay synchronous.
+//
+// DeferDurability, the backward cover (lazy phase two): the covering record
+// is already durable, so any later waited write to the store is durable
+// only once these are, and a crash before they land replays to the record,
+// whose recovery redoes them. The outermost scope's exit wakes the
+// committer, so they form one append of their own.
 class DeferDurability {
  public:
   DeferDurability() noexcept;
@@ -60,6 +62,25 @@ class DeferDurability {
   // Store side: `store` deferred records under the calling thread's scope;
   // its wake_deferred() runs once when the outermost scope closes.
   static void join(ObjectStore& store);
+};
+
+// DeferToNextWrite, the forward cover (covered prepare): the covering record
+// is a waited write to the SAME store that the caller makes once these
+// writes have returned (on whichever thread they ran), and a crash before it
+// lands loses only records nothing names yet (orphan shadows, which presumed
+// abort sweeps). The scope's exit wakes nobody, so the covering write's
+// flush carries these records at the latest, as one append with them (a
+// committer already awake may flush them sooner). Sound only where every
+// path that does not kill the node goes on to a waited write in that store.
+class DeferToNextWrite {
+ public:
+  DeferToNextWrite() noexcept;
+  ~DeferToNextWrite();
+  DeferToNextWrite(const DeferToNextWrite&) = delete;
+  DeferToNextWrite& operator=(const DeferToNextWrite&) = delete;
+
+  // Store side: true while the calling thread is inside a scope.
+  [[nodiscard]] static bool active() noexcept;
 };
 
 class ObjectStore {
@@ -116,14 +137,26 @@ class ObjectStore {
   virtual void wake_deferred() {}
 };
 
-// Lazy phase two's same-store rule (DESIGN.md §5.4): a durable record covers
-// only the shadows in its own store. Sorts one commit's shadow promotions:
-// a shadow in any other store is promoted at once, waiting for its flush; one
-// in the covering store is held for promote(), which the caller runs inside
-// the covering record's DeferDurability scope.
-class CoveredPromotions {
+// The same-store rule (DESIGN.md §5.4): a record covers only the shadows in
+// its own store. One commit's shadow writes go through a ShadowCover at both
+// ends, so the rule lives in one place: at prepare a batch in the covering
+// store rides the record's flush (DeferToNextWrite), and in phase two its
+// promotions ride the record's durability (DeferDurability); a shadow in
+// any other store is written and promoted with a wait per write.
+class ShadowCover {
  public:
-  explicit CoveredPromotions(ObjectStore& covering) : covering_(&covering) {}
+  // `covering` is the store of the record that names this commit's shadows
+  // (a participant's prepared marker, a coordinator's decision record), or
+  // null when no record covers them and every write waits.
+  explicit ShadowCover(ObjectStore* covering) : covering_(covering) {}
+
+  [[nodiscard]] bool covers(const ObjectStore& store) const { return &store == covering_; }
+  // Prepare: writes one store's shadow batch. In the covering store it
+  // only queues; the caller's covering write there carries it.
+  void write(ObjectStore& store, const std::vector<ObjectState>& states) const;
+  // Phase two: a shadow outside the covering store is promoted at once,
+  // waiting for its flush; one in it is held for promote(), which the caller
+  // runs inside the covering record's DeferDurability scope.
   void add(ObjectStore& store, const Uid& uid);
   void promote() const;
 

@@ -365,6 +365,10 @@ void WalStore::log_records(std::unique_lock<std::mutex>& lock, std::vector<std::
   pending_ticket_ = ticket;
   stats_.records.fetch_add(record_count, std::memory_order_relaxed);
   ensure_committer_locked();
+  // Covered by a waited write the caller makes to this log later (covered
+  // prepare): keep the place in the queue and wake nobody. That write's
+  // flush carries these records, if an earlier one has not.
+  if (DeferToNextWrite::active()) return;
   if (DeferDurability::active()) {
     // Covered by a record already durable in this log: keep the place in
     // the queue and ride the flush the scope's exit starts.
@@ -508,8 +512,9 @@ void WalStore::checkpoint_locked(std::unique_lock<std::mutex>& lock) {
   throw_if_wedged_locked();
   const std::uint64_t my_epoch = epoch_;
   // Drain the committer so the image covers every appended record; releasing
-  // the lock here lets it finish. Deferred records whose scope is still open
-  // have no wake pending yet: start their flush instead of waiting for it.
+  // the lock here lets it finish. Deferred records whose scope is still open,
+  // or whose covering write is not made yet, have no wake pending: start
+  // their flush instead of waiting for it.
   work_cv_.notify_one();
   durable_cv_.wait(lock, [&] {
     return (pending_.empty() && !flushing_) || wedge_ != nullptr || epoch_ != my_epoch;

@@ -37,12 +37,15 @@
 // rebuilding from what actually reached the disk.
 //
 // Deferred writes: a mutation made inside a DeferDurability scope (lazy
-// phase two, DESIGN.md §5.4) updates the image and joins the queue in log
-// order like any other, but returns without waiting for its ticket; the
-// scope's exit wakes the committer. Log order is what makes this sound:
-// every later waited record is durable only once the deferred ones are. A
-// failed flush of deferred records has no waiter to rethrow to, so every
-// failed flush is logged at Error; the wedge still fails the next mutation.
+// phase two, DESIGN.md §5.4) or a DeferToNextWrite scope (covered prepare)
+// updates the image and joins the queue in log order like any other, but
+// returns without waiting for its ticket. A DeferDurability scope's exit
+// wakes the committer; a DeferToNextWrite record wakes nobody, and its
+// covering write's flush carries it at the latest. Log order is what makes
+// this sound: every later waited record is durable only once the deferred
+// ones are. A failed flush of deferred records may have no waiter to
+// rethrow to, so every failed flush is logged at Error; the wedge still
+// fails the next mutation.
 //
 // Threading: the committer thread is owned by the store and started lazily
 // on the first logged write — stores are constructed before the Runtime
@@ -172,9 +175,10 @@ class WalStore final : public ObjectStore {
 
   // Enqueues the already-framed `bytes`, wakes the committer and blocks
   // until every record in them is durable (or the log wedges / the store
-  // crashes under us). Inside a DeferDurability scope it only enqueues: the
-  // scope's exit wakes the committer. Caller holds `lk` and has already
-  // applied the mutation to the in-memory image.
+  // crashes under us). Inside a DeferDurability or DeferToNextWrite scope it
+  // only enqueues: the former's exit wakes the committer, the latter's
+  // covering write does. Caller holds `lk` and has already applied the
+  // mutation to the in-memory image.
   void log_records(std::unique_lock<std::mutex>& lk, std::vector<std::byte> bytes,
                    std::size_t record_count);
   void ensure_committer_locked();

@@ -20,15 +20,17 @@
 // property under test.
 //
 // Also here: registry unit tests, a seeded multi-crash chaos mode, the
-// double-kill recovery-window cases, the lazy phase-two windows (a node
-// reported the commit, then lost the writes its durable record covers), a
-// live coordinator's own recovery pass racing its witnessed decision, and a
-// regression proving the checker catches the half-applied state a
-// marker-before-shadows mutation leaves.
+// double-kill recovery-window cases, the covered-prepare windows (a node's
+// prepared append torn with the shadow riding it), the lazy phase-two
+// windows (a node reported the commit, then lost the writes its durable
+// record covers), a live coordinator's own recovery pass racing its
+// witnessed decision, and a regression proving the checker catches the
+// half-applied state a marker-before-shadows mutation leaves.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <thread>
 #include <type_traits>
@@ -83,11 +85,25 @@ struct TempDir {
   }
 };
 
+// A WalStore starts its committer on its first write, and that thread
+// flushes whatever is queued straight away, so a covered shadow written
+// first could get a flush of its own. One waited write warms each log, so
+// the flushes the append-window cases count are the transfer's own.
+template <typename StoreT>
+void warm(StoreT& store) {
+  if constexpr (std::is_same_v<StoreT, WalStore>) {
+    store.write(ObjectState(Uid(), "Warm", ByteBuffer()));
+  }
+}
+
 // Coordinator node 1, participants 2 and 3, all on the same kind of stable
 // store (FileStore for the classic sweep, WalStore for the log-structured
 // one — the protocol must converge identically over either backend).
 // Node 3's store is wrapped in a FaultyStore so a case can make it veto
 // phase one (clean NO vote) and push the coordinator down the abort path.
+// With `coordinator_account`, node 1 also hosts `z` and counts the transfers
+// it runs there, so the coordinator writes a shadow of its own at prepare
+// and promotes it in phase two.
 template <typename StoreT>
 struct BasicCluster {
   TempDir dir;
@@ -97,10 +113,12 @@ struct BasicCluster {
   FaultyStore p2_store;
   DistNode c, p1, p2;
   RecoverableInt a, b;
+  std::optional<RecoverableInt> z;
 
   // The directory embeds a fresh Uid: ctest runs sweep cases as concurrent
   // processes, which must not share (and remove_all) each other's stores.
-  explicit BasicCluster(const std::string& tag, typename StoreT::Options store_options = {})
+  explicit BasicCluster(const std::string& tag, typename StoreT::Options store_options = {},
+                        bool coordinator_account = false)
       : dir(fs::temp_directory_path() / ("mca_crash_sweep_" + tag + "_" + Uid().to_string())),
         net(fast_config()),
         c_store(dir.path / "c", store_options),
@@ -125,6 +143,10 @@ struct BasicCluster {
     }
     p1.host(a);
     p2.host(b);
+    if (coordinator_account) c.host(z.emplace(c.runtime(), kInitial));
+    warm(c_store);
+    warm(p1_store);
+    warm(p2_files);
   }
 
   std::vector<DistNode*> nodes() { return {&c, &p1, &p2}; }
@@ -162,11 +184,13 @@ struct BasicCluster {
       report.violations.push_back("node 3: corrupt durable state: " +
                                   path.filename().string());
     }
-    consistency::check_atomic_outcome(
-        c.runtime(), action,
-        {{"a@node2", stored(p1.runtime(), a.uid()), kInitial, kInitial - kDelta},
-         {"b@node3", stored(p2.runtime(), b.uid()), kInitial, kInitial + kDelta}},
-        report);
+    std::vector<consistency::ValueObservation> observations = {
+        {"a@node2", stored(p1.runtime(), a.uid()), kInitial, kInitial - kDelta},
+        {"b@node3", stored(p2.runtime(), b.uid()), kInitial, kInitial + kDelta}};
+    if (z) {
+      observations.push_back({"z@node1", stored(c.runtime(), z->uid()), kInitial, kInitial + 1});
+    }
+    consistency::check_atomic_outcome(c.runtime(), action, observations, report);
   }
 
   // Runs the transfer; a coordinator-side CrashPointHit kills node 1 and
@@ -180,6 +204,7 @@ struct BasicCluster {
       RemoteInt rb(c, p2.id(), b.uid());
       ra.add(-kDelta);
       rb.add(kDelta);
+      if (z) z->add(1);
       (void)act.commit();
     } catch (const CrashPointHit&) {
       c.crash();
@@ -342,9 +367,10 @@ class CrashSweep : public ::testing::TestWithParam<SweepCase> {};
 // One sweep case, generic over the stable-store backend: arm, transfer into
 // the window, restart the victim, converge, run the invariant battery.
 template <typename StoreT>
-void run_kill_window_case(const SweepCase& sc, typename StoreT::Options store_options = {}) {
+void run_kill_window_case(const SweepCase& sc, typename StoreT::Options store_options = {},
+                          bool coordinator_account = false) {
   crash_points::reset();
-  BasicCluster<StoreT> cl("sweep", store_options);
+  BasicCluster<StoreT> cl("sweep", store_options, coordinator_account);
   cl.veto_p2->store(sc.veto);
 
   crash_points::arm(sc.point, sc.skip);
@@ -397,40 +423,49 @@ INSTANTIATE_TEST_SUITE_P(AllWindows, CrashSweep, ::testing::ValuesIn(kSweepCases
 // The same sweep over WalStore: kill inside the log append itself
 // ---------------------------------------------------------------------------
 
-// Prepare is serial, so the first five WAL flushes land in a deterministic
-// order: [0] node2 shadow batch, [1] node2 prepared marker, [2] node3 shadow
-// batch, [3] node3 prepared marker, [4] coordinator log. The coordinator
-// promotes nothing of its own, so flush [5] is a participant's lazy
-// phase-two append: its promotion and marker drop, queued without a waiter
-// after it acked tx.commit (parallel termination races which participant
-// gets there first; the expected outcome is the same either way). A kill
-// there fires on the store's committer, so the harness crashes the node
-// whose log it tore (crash_nodes_with_wedged_logs); every other case must
-// take its node down by itself.
+// Here the coordinator also counts the transfer in an account of its own,
+// so a transfer makes six WAL flushes. Each side's shadow rides the record
+// that covers it (covered prepare): [0] and [1] are the two participants'
+// prepared appends, shadow batch plus marker, in whichever order their
+// handlers run; [2] is the coordinator's decision record, after every vote,
+// carrying its own shadow. [3], [4] and [5] are the lazy phase-two appends,
+// queued without a waiter: the coordinator's promotion plus Applied rewrite
+// (asked for before tx.commit goes out, so usually first) and each
+// participant's promotion plus marker drop after it acked tx.commit. Which
+// committer gets there first is a race; the expected outcome is the same
+// either way. A kill in those three fires on the store's committer, so the
+// harness crashes the node whose log it tore (crash_nodes_with_wedged_logs);
+// every other case must take its node down by itself, through the writer
+// waiting on the torn flush.
 const SweepCase kWalSweepCases[] = {
     // Torn mid-record: the frame fails its CRC walk on replay and the tail
-    // is truncated, so the record was never written — presumed abort through
-    // the decision, commit once the coordinator log record [4] is past.
+    // is truncated, so the record was never written. A torn prepared append
+    // loses the shadows with the marker, leaving no orphan; a torn decision
+    // record [2] is no decision, and takes the coordinator's shadow with it.
+    // Both presume abort.
     {"store.wal.append.mid_record", 0, false, false},
     {"store.wal.append.mid_record", 1, false, false},
     {"store.wal.append.mid_record", 2, false, false},
-    {"store.wal.append.mid_record", 3, false, false},
-    {"store.wal.append.mid_record", 4, false, false},
-    // The acked participant's promotion and marker drop never reached the
-    // log: it restarts in doubt and redoes both after tx.status says commit.
+    // A lazy append never reached the log after the commit was reported: an
+    // acked participant restarts in doubt and redoes its promotion and
+    // marker drop after tx.status says commit; the coordinator redoes its
+    // promotion from its Sealed record.
+    {"store.wal.append.mid_record", 3, true, false, /*lazy=*/true},
+    {"store.wal.append.mid_record", 4, true, false, /*lazy=*/true},
     {"store.wal.append.mid_record", 5, true, false, /*lazy=*/true},
     // Appended but never fsynced: under the simulated crash model the page
     // cache survives the kill, so the record IS durable — but the store
     // reported nothing, so the protocol never advanced. Votes that never
-    // reached the coordinator still abort; a fully appended coordinator log
-    // record [4] means the decision is durable and recovery must commit.
+    // reached the coordinator still abort; a fully appended decision record
+    // [2] means the decision is durable and recovery must commit, promoting
+    // the coordinator's shadow from it.
     {"store.wal.append.pre_fsync", 0, false, false},
     {"store.wal.append.pre_fsync", 1, false, false},
-    {"store.wal.append.pre_fsync", 2, false, false},
-    {"store.wal.append.pre_fsync", 3, false, false},
-    {"store.wal.append.pre_fsync", 4, true, false},
-    // The lazy append [5] landed whole before the kill: the participant
-    // restarts with nothing in doubt.
+    {"store.wal.append.pre_fsync", 2, true, false},
+    // A lazy append landed whole before the kill: its node restarts with
+    // nothing left to redo.
+    {"store.wal.append.pre_fsync", 3, true, false, /*lazy=*/true},
+    {"store.wal.append.pre_fsync", 4, true, false, /*lazy=*/true},
     {"store.wal.append.pre_fsync", 5, true, false, /*lazy=*/true},
     // Veto path over the WAL backend: same windows as the FileStore sweep.
     {"tpc.coord.abort.pre_send", 0, false, true},
@@ -440,7 +475,7 @@ const SweepCase kWalSweepCases[] = {
 class WalCrashSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(WalCrashSweep, KillWindowThenConverge) {
-  run_kill_window_case<WalStore>(GetParam());
+  run_kill_window_case<WalStore>(GetParam(), {}, /*coordinator_account=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(WalWindows, WalCrashSweep, ::testing::ValuesIn(kWalSweepCases),
@@ -475,17 +510,19 @@ TEST_F(WalCheckpointWindows, InterruptedCompactionCompletesOnRecovery) {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy phase two: a node reported the commit, then lost the writes its
-// durable record covers
+// One node on a WAL: its prepared append torn (covered prepare), or its lazy
+// phase-two append lost after it reported the commit (lazy phase two)
 // ---------------------------------------------------------------------------
 
 // Coordinator 1 hosts `z`, participant 2 hosts `a`; the transfer moves
-// kDelta from z to a, so both sides promote a shadow in phase two. Only the
-// node under test runs on a WalStore (the other on a FileStore), so its
-// flushes are the only ones the store.wal points count: [0] its shadow
-// batch, [1] its prepared marker (participant) or sealed decision record
-// (coordinator), [2] its lazy phase-two append — promotion plus marker drop,
-// or promotion plus the Applied rewrite. Tearing [2] loses both writes after
+// kDelta from z to a, so both sides write a shadow at prepare and promote it
+// in phase two. Only the node under test runs on a WalStore (the other on a
+// FileStore), so its flushes are the only ones the store.wal points count.
+// The shadow rides the record that covers it, so each side makes two: [0]
+// shadow plus prepared marker (participant), or shadow plus Sealed decision
+// record (coordinator); [1] the lazy phase-two append — promotion plus
+// marker drop, or promotion plus the Applied rewrite. Tearing [0] loses the
+// vote or the decision with its shadow; tearing [1] loses both writes after
 // the node already reported the commit.
 template <typename CoordStoreT, typename PartStoreT>
 struct LazyCluster {
@@ -514,20 +551,36 @@ struct LazyCluster {
     }
     c.host(z);
     p.host(a);
+    warm(c_store);
+    warm(p_store);
   }
 
-  // Commits the transfer with store.wal.append.mid_record armed at the
-  // node under test's lazy append, and returns the action once that kill
-  // has torn it.
-  Uid commit_then_tear_lazy_append(const WalStore& victim) {
+  // Runs the transfer with store.wal.append.mid_record armed at the node
+  // under test's flush [skip]. A coordinator-side kill crashes node 1 and
+  // abandons the action; `outcome` is what commit() returned, if it did.
+  Uid transfer_with_torn_append(unsigned skip, std::optional<Outcome>& outcome) {
     crash_points::reset();
-    crash_points::arm("store.wal.append.mid_record", 2);
+    crash_points::arm("store.wal.append.mid_record", skip);
     AtomicAction act(c.runtime());
     act.begin();
     const Uid uid = act.uid();
-    z.add(-kDelta);
-    RemoteInt(c, p.id(), a.uid()).add(kDelta);
-    EXPECT_EQ(act.commit(), Outcome::Committed);
+    try {
+      z.add(-kDelta);
+      RemoteInt(c, p.id(), a.uid()).add(kDelta);
+      outcome = act.commit();
+    } catch (const CrashPointHit&) {
+      c.crash();
+      act.abandon();
+    }
+    return uid;
+  }
+
+  // Commits the transfer with the node under test's lazy append [1] torn,
+  // and returns the action once that kill has torn it.
+  Uid commit_then_tear_lazy_append(const WalStore& victim) {
+    std::optional<Outcome> outcome;
+    const Uid uid = transfer_with_torn_append(1, outcome);
+    EXPECT_EQ(outcome, Outcome::Committed);
     // The kill fires on the victim's committer thread after commit()
     // returned; it leaves the log wedged for its owner to find.
     EXPECT_TRUE(wait_until([&] { return victim.wedged(); }, 5'000ms));
@@ -536,13 +589,70 @@ struct LazyCluster {
     return uid;
   }
 
-  void check(ConsistencyReport& report) {
+  // Both sides at `z_value` / `a_value`, no shadow left on either node, and
+  // the checker clean.
+  void check(std::int64_t z_value, std::int64_t a_value, ConsistencyReport& report) {
     consistency::check_node(c, report);
     consistency::check_node(p, report);
-    EXPECT_EQ(BasicCluster<CoordStoreT>::stored(c.runtime(), z.uid()), kInitial - kDelta);
-    EXPECT_EQ(BasicCluster<CoordStoreT>::stored(p.runtime(), a.uid()), kInitial + kDelta);
+    EXPECT_EQ(BasicCluster<CoordStoreT>::stored(c.runtime(), z.uid()), z_value);
+    EXPECT_EQ(BasicCluster<CoordStoreT>::stored(p.runtime(), a.uid()), a_value);
+    EXPECT_TRUE(c_store.shadow_uids().empty());
+    EXPECT_TRUE(p_store.shadow_uids().empty());
   }
+
+  void check(ConsistencyReport& report) { check(kInitial - kDelta, kInitial + kDelta, report); }
 };
+
+TEST(CoveredPrepare, TornParticipantPreparedAppendPresumesAbortWithNoOrphanShadow) {
+  LazyCluster<FileStore, WalStore> cl("covered_participant");
+  std::optional<Outcome> outcome;
+  const Uid action = cl.transfer_with_torn_append(0, outcome);
+  EXPECT_EQ(crash_points::last_fired().value_or("<none>"), "store.wal.append.mid_record");
+  crash_points::disarm_all();
+
+  // The marker's writer waited on the torn flush, so the kill reached the
+  // tx.prepare handler and took the participant down: no vote, so the
+  // coordinator aborted on its own.
+  EXPECT_EQ(outcome, Outcome::Aborted);
+  ASSERT_FALSE(cl.p.up());
+  // The shadow was only queued ahead of the marker, in the same append: the
+  // torn tail took both, so the log replays to neither and there is no
+  // orphan for the restart to sweep.
+  EXPECT_TRUE(wait_until([&] { return !cl.p_store.read_shadow(cl.a.uid()).has_value(); },
+                         5'000ms));
+  cl.p.restart();
+  EXPECT_EQ(cl.p.in_doubt_count(), 0u);
+  EXPECT_FALSE(CoordinatorLogParticipant::committed(cl.c.runtime(), action));
+  ConsistencyReport report;
+  cl.check(kInitial, kInitial, report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(CoveredPrepare, TornCoordinatorShadowAndSealedAppendAborts) {
+  LazyCluster<WalStore, FileStore> cl("covered_coordinator");
+  std::optional<Outcome> outcome;
+  const Uid action = cl.transfer_with_torn_append(0, outcome);
+  EXPECT_EQ(crash_points::last_fired().value_or("<none>"), "store.wal.append.mid_record");
+  crash_points::disarm_all();
+
+  // The Sealed record's writer waited on the torn flush, so the kill
+  // tunnelled out of commit(): the participant voted yes and is in doubt.
+  EXPECT_FALSE(outcome.has_value());
+  ASSERT_FALSE(cl.c.up());
+  EXPECT_EQ(cl.p.in_doubt_count(), 1u);
+
+  // The torn tail took the decision record with the shadow queued ahead of
+  // it: the log replays to neither, so nothing is left for the restart to
+  // sweep, and with no record tx.status presumes abort.
+  EXPECT_FALSE(cl.c_store.read_shadow(cl.z.uid()).has_value());
+  EXPECT_FALSE(CoordinatorLogParticipant::read_record(cl.c.runtime(), action).has_value());
+  cl.c.restart();
+  ASSERT_TRUE(wait_until([&] { return cl.p.in_doubt_count() == 0; }, 15'000ms));
+  EXPECT_GE(cl.p.recovery_stats().resolved_aborted, 1u);
+  ConsistencyReport report;
+  cl.check(kInitial, kInitial, report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
 
 TEST(LazyPhaseTwo, AckedParticipantRedoesLostPromotionViaTxStatus) {
   LazyCluster<FileStore, WalStore> cl("lazy_participant");

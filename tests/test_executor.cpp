@@ -89,7 +89,12 @@ TEST(Executor, BlockingLaneReusesIdleThreads) {
   for (int i = 0; i < 50; ++i) {
     std::atomic<bool> done{false};
     ASSERT_TRUE(ex.submit_blocking([&] { done.store(true); }));
-    while (!done.load()) std::this_thread::sleep_for(100us);
+    // Wait for the worker to park again, not just for the task: `done` is
+    // set inside the task, before the worker rejoins the idle set, and a
+    // submit in between finds no idle worker and spawns one. (The idle
+    // count alone is not enough either: it still reads 1 before the worker
+    // has taken the task just submitted.)
+    while (!done.load() || ex.stats().blocking_idle != 1) std::this_thread::sleep_for(100us);
   }
   EXPECT_EQ(ex.stats().threads_spawned, 1u);
 }

@@ -14,6 +14,10 @@
 #include <random>
 #include <thread>
 
+#include "dist/remote.h"
+#include "objects/recoverable_int.h"
+#include "sim/crash_points.h"
+#include "sim/network.h"
 #include "storage/faulty_store.h"
 #include "storage/file_store.h"
 #include "storage/wal_store.h"
@@ -452,6 +456,164 @@ TEST_F(WalTest, CheckpointAndFsckDrainDeferredRecords) {
   store.crash();  // the checkpoint alone carries both
   EXPECT_EQ(payload_of(*store.read(a)), "waited");
   EXPECT_EQ(payload_of(*store.read(b)), "deferred");
+}
+
+// -- covered records (DeferToNextWrite scopes, covered prepare) --------------
+
+TEST_F(WalTest, CoveredRecordsAndTheCoveringWriteAreOneFlush) {
+  WalStore store(dir_);
+  // The scope reaches the log through a decorator that only forwards the
+  // ObjectStore calls.
+  FaultyStore decorated(store, nullptr);
+  const Uid before, s1, s2, marker;
+  // Warm: the first write starts the committer, which would flush anything
+  // queued at once. Now it is running and idle.
+  store.write(make_state(before, "warm"));
+  {
+    const DeferToNextWrite ride;
+    decorated.write_batch({make_state(s1, "shadow 1"), make_state(s2, "shadow 2")},
+                          WriteKind::Shadow);
+  }
+  EXPECT_EQ(payload_of(*store.read_shadow(s1)), "shadow 1");  // visible at once
+  EXPECT_EQ(store.stats().flushes, 1u);  // queued, nobody woken
+  decorated.write(make_state(marker, "marker"));
+  EXPECT_EQ(store.stats().records, 4u);
+  EXPECT_EQ(store.stats().flushes, 2u);
+  EXPECT_EQ(store.stats().fsyncs, 2u);
+
+  WalStore reopened(dir_);
+  EXPECT_EQ(payload_of(*reopened.read_shadow(s1)), "shadow 1");
+  EXPECT_EQ(payload_of(*reopened.read_shadow(s2)), "shadow 2");
+  EXPECT_EQ(payload_of(*reopened.read(marker)), "marker");
+  EXPECT_TRUE(reopened.fsck().empty());
+}
+
+TEST_F(WalTest, CrashBeforeTheCoveringWriteLosesTheCoveredRecords) {
+  WalStore store(dir_);
+  const Uid before, s1, s2;
+  store.write(make_state(before, "durable"));  // warm: the committer is running, idle
+  {
+    const DeferToNextWrite ride;
+    store.write_shadow(make_state(s1, "never appended"));
+    store.write_shadow(make_state(s2, "never appended either"));
+  }
+  EXPECT_TRUE(store.read_shadow(s1).has_value());
+  EXPECT_EQ(store.stats().flushes, 1u);
+
+  store.crash();  // the covering write never came
+  EXPECT_FALSE(store.read_shadow(s1).has_value());
+  EXPECT_FALSE(store.read_shadow(s2).has_value());
+  EXPECT_EQ(payload_of(*store.read(before)), "durable");
+  EXPECT_TRUE(store.fsck().empty());
+}
+
+TEST_F(WalTest, FailedCoveringFlushRethrowsToTheCoveringWriterAndWedges) {
+  auto fail = std::make_shared<std::atomic<bool>>(false);
+  WalStore::Options options;
+  options.fsync_fn = [fail](int fd) {
+    if (fail->load()) {
+      errno = EIO;
+      return -1;
+    }
+    return ::fsync(fd);
+  };
+  WalStore store(dir_, options);
+  const Uid ok, shadow, marker, next;
+  store.write(make_state(ok, "before"));  // warm
+
+  fail->store(true);
+  {
+    const DeferToNextWrite ride;
+    store.write_shadow(make_state(shadow, "covered"));  // nothing flushed: no throw
+  }
+  EXPECT_FALSE(store.wedged());
+  // The covering write's flush carries the covered record and fails: its
+  // writer is the one the error reaches.
+  EXPECT_THROW(store.write(make_state(marker, "covering")), DurabilityError);
+  EXPECT_TRUE(store.wedged());
+  EXPECT_EQ(store.stats().flushes, 1u);
+  EXPECT_THROW(store.write(make_state(next, "blocked")), DurabilityError);
+
+  fail->store(false);
+  store.crash();
+  EXPECT_FALSE(store.wedged());
+  EXPECT_EQ(payload_of(*store.read(ok)), "before");
+  // One append: the bytes the refused fsync left may survive the simulated
+  // crash, but the covered record and the covering one share a fate.
+  EXPECT_EQ(store.read_shadow(shadow).has_value(), store.read(marker).has_value());
+  EXPECT_FALSE(store.read(next).has_value());
+  EXPECT_TRUE(store.fsck().empty());
+}
+
+// The protocol-level count: a participant's vote — its shadow batch and the
+// prepared marker that covers it — is one append and one fsync.
+TEST_F(WalTest, ParticipantPrepareIsOneFlush) {
+  NetworkConfig config;
+  config.min_delay = std::chrono::microseconds(10);
+  config.max_delay = std::chrono::microseconds(200);
+  Network net(config);
+  WalStore store(dir_);
+  DistNode coordinator(net, 1);
+  DistNode participant(net, 2, &store);
+  RecoverableInt x(participant.runtime(), 100), y(participant.runtime(), 100);
+  participant.host(x);
+  participant.host(y);
+  store.write(make_state(Uid(), "warm"));  // the committer is running, idle
+
+  // Read the flush count as the tx.prepare handler enters and leaves prepare.
+  crash_points::reset();
+  std::uint64_t entering = 0;
+  std::uint64_t voting = 0;
+  crash_points::arm("tpc.participant.prepare.pre_shadow", 0,
+                    [&] { entering = store.stats().flushes; });
+  crash_points::arm("tpc.participant.prepare.post_marker", 0,
+                    [&] { voting = store.stats().flushes; });
+  AtomicAction act(coordinator.runtime());
+  act.begin();
+  RemoteInt(coordinator, participant.id(), x.uid()).add(-10);
+  RemoteInt(coordinator, participant.id(), y.uid()).add(10);
+  EXPECT_EQ(act.commit(), Outcome::Committed);
+  EXPECT_EQ(crash_points::fire_count("tpc.participant.prepare.post_marker"), 1u);
+  crash_points::reset();
+  EXPECT_EQ(voting - entering, 1u);
+}
+
+// The coordinator's side: its default-store shadows only queue at prepare,
+// on the serial termination path as on the parallel one, and ride the
+// decision record's flush.
+TEST_F(WalTest, CoordinatorPrepareShadowsOnlyQueue) {
+  NetworkConfig config;
+  config.min_delay = std::chrono::microseconds(10);
+  config.max_delay = std::chrono::microseconds(200);
+  Network net(config);
+  WalStore store(dir_);
+  DistNode coordinator(net, 1, &store);
+  DistNode participant(net, 2);
+  RecoverableInt z(coordinator.runtime(), 100), a(participant.runtime(), 100);
+  coordinator.host(z);
+  participant.host(a);
+  store.write(make_state(Uid(), "warm"));  // the committer is running, idle
+
+  for (const bool parallel : {true, false}) {
+    AtomicAction::set_parallel_termination(parallel);
+    crash_points::reset();
+    std::uint64_t sending = 0;
+    crash_points::arm("tpc.coord.phase1.pre_send", 0, [&] { sending = store.stats().flushes; });
+    ASSERT_TRUE(store.fsck().empty());  // drains the previous commit's lazy append
+    AtomicAction act(coordinator.runtime());
+    act.begin();
+    z.add(-10);
+    RemoteInt(coordinator, participant.id(), a.uid()).add(10);
+    const std::uint64_t before = store.stats().flushes;
+    EXPECT_EQ(act.commit(), Outcome::Committed);
+    EXPECT_EQ(crash_points::fire_count("tpc.coord.phase1.pre_send"), 1u);
+    EXPECT_EQ(sending, before) << "parallel termination " << parallel;
+    EXPECT_GT(store.stats().flushes, sending);
+  }
+  AtomicAction::set_parallel_termination(true);
+  crash_points::reset();
+  ByteBuffer committed = store.read(z.uid())->state();
+  EXPECT_EQ(committed.unpack_i64(), 80);
 }
 
 // The two stable backends must agree on every observable after the same
