@@ -14,35 +14,37 @@ void TimerService::ensure_thread_locked() {
   }
 }
 
-TimerService::TimerId TimerService::schedule_locked(Clock::time_point due,
-                                                    std::function<void()> fn,
-                                                    const void* owner,
-                                                    std::chrono::milliseconds period) {
-  if (stopping_ || (owner != nullptr && cancelling_owners_.contains(owner))) {
-    return kInvalid;
+TimerService::TimerId TimerService::schedule(Clock::time_point due, std::function<void()> fn,
+                                             const void* owner,
+                                             std::chrono::milliseconds period) {
+  TimerId id = kInvalid;
+  bool earliest = false;
+  {
+    const std::scoped_lock lock(mutex_);
+    if (stopping_ || (owner != nullptr && cancelling_owners_.contains(owner))) {
+      return kInvalid;
+    }
+    id = next_id_++;
+    Entry entry;
+    entry.fn = std::move(fn);
+    entry.owner = owner;
+    entry.period = period;
+    entry.due = due;
+    heap_.push(HeapItem{due, id, entry.generation});
+    entries_.emplace(id, std::move(entry));
+    ++scheduled_;
+    ensure_thread_locked();
+    earliest = heap_.top().id == id;
   }
-  const TimerId id = next_id_++;
-  Entry entry;
-  entry.fn = std::move(fn);
-  entry.owner = owner;
-  entry.period = period;
-  entry.due = due;
-  heap_.push(HeapItem{due, id, entry.generation});
-  entries_.emplace(id, std::move(entry));
-  ++scheduled_;
-  ensure_thread_locked();
+  // The timer thread sleeps until the heap's top; a later entry does not
+  // move that wake-up, so only a new top is worth waking it for.
+  if (earliest) wake_.notify_all();
   return id;
 }
 
 TimerService::TimerId TimerService::schedule_at(Clock::time_point due,
                                                 std::function<void()> fn, const void* owner) {
-  TimerId id;
-  {
-    const std::scoped_lock lock(mutex_);
-    id = schedule_locked(due, std::move(fn), owner, std::chrono::milliseconds(0));
-  }
-  wake_.notify_all();
-  return id;
+  return schedule(due, std::move(fn), owner, std::chrono::milliseconds(0));
 }
 
 TimerService::TimerId TimerService::schedule_after(std::chrono::milliseconds delay,
@@ -54,13 +56,7 @@ TimerService::TimerId TimerService::schedule_after(std::chrono::milliseconds del
 TimerService::TimerId TimerService::schedule_every(std::chrono::milliseconds period,
                                                    std::function<void()> fn,
                                                    const void* owner) {
-  TimerId id;
-  {
-    const std::scoped_lock lock(mutex_);
-    id = schedule_locked(Clock::now() + period, std::move(fn), owner, period);
-  }
-  wake_.notify_all();
-  return id;
+  return schedule(Clock::now() + period, std::move(fn), owner, period);
 }
 
 bool TimerService::cancel(TimerId id) {

@@ -118,8 +118,8 @@ class TimerService {
     bool operator>(const HeapItem& other) const { return due > other.due; }
   };
 
-  TimerId schedule_locked(Clock::time_point due, std::function<void()> fn, const void* owner,
-                          std::chrono::milliseconds period);
+  TimerId schedule(Clock::time_point due, std::function<void()> fn, const void* owner,
+                   std::chrono::milliseconds period);
   void ensure_thread_locked();
   void timer_loop();
 

@@ -1,5 +1,7 @@
 #include "dist/rpc.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace mca {
@@ -25,6 +27,16 @@ void complete_call(const std::shared_ptr<RpcCallState>& state, RpcResult result)
     state->done.notify_all();
   }
   if (callback) callback(state->result);
+}
+
+// Frees the request of a completed call once no retransmit slot can fire
+// for it any more (outside the lock: a blob request is ~100 KB).
+void drop_request(RpcCallState& state) {
+  Datagram request;
+  {
+    const std::scoped_lock lock(state.mutex);
+    request = std::exchange(state.request, Datagram{});
+  }
 }
 
 std::shared_ptr<RpcCallState> make_completed_state(RpcResult result) {
@@ -78,6 +90,12 @@ void RpcFuture::on_complete(std::function<void(const RpcResult&)> fn) const {
   if (fire) fn(state_->result);
 }
 
+std::size_t RpcFuture::request_bytes() const {
+  if (!state_) return 0;
+  const std::scoped_lock lock(state_->mutex);
+  return state_->request.payload.size();
+}
+
 RpcEndpoint::RpcEndpoint(Transport& transport, NodeId id, std::size_t workers,
                          std::size_t reply_cache_capacity, TimerService* timers)
     : transport_(transport),
@@ -120,6 +138,7 @@ RpcEndpoint::~RpcEndpoint() {
   }
   for (auto& call : abandoned) {
     complete_call(call, RpcResult{RpcStatus::Timeout, {}, "endpoint destroyed"});
+    drop_request(*call);  // cancel_owner() took every slot
   }
   pool_.shutdown();
 }
@@ -220,6 +239,7 @@ RpcFuture RpcEndpoint::call_async(NodeId to, const std::string& service, ByteBuf
     complete_call(state, RpcResult{RpcStatus::AppError, {},
                                    "request to node " + std::to_string(to) +
                                        " exceeds the transport's message limit"});
+    drop_request(*state);
     return RpcFuture(std::move(state));
   }
   if (first != SendStatus::Accepted) {
@@ -239,23 +259,52 @@ RpcResult RpcEndpoint::call(NodeId to, const std::string& service, ByteBuffer ar
 }
 
 void RpcEndpoint::schedule_timer(std::chrono::steady_clock::time_point due,
-                                 std::shared_ptr<RpcCallState> state) {
+                                 const std::shared_ptr<RpcCallState>& state) {
   // One-shot per slot; process_call_timer schedules the next one. Refused
   // during endpoint teardown (cancel_owner in the destructor bans `this`),
-  // in which case the destructor completes the call as abandoned.
-  (void)timers_->schedule_at(
-      due, [this, state = std::move(state)] { process_call_timer(state); }, this);
+  // in which case the destructor completes the call as abandoned. Armed
+  // under the state lock, so a completer either sees this slot's id or
+  // completed the call first, and then no slot is armed.
+  {
+    const std::scoped_lock lock(state->mutex);
+    if (!state->completed) {
+      state->timer =
+          timers_->schedule_at(due, [this, state] { process_call_timer(state); }, this);
+      return;
+    }
+  }
+  retire(*state);
+}
+
+void RpcEndpoint::retire(RpcCallState& state) {
+  {
+    const std::scoped_lock lock(mutex_);
+    calls_.erase(state.request_id);
+  }
+  drop_request(state);
+}
+
+void RpcEndpoint::settle(const std::shared_ptr<RpcCallState>& state, RpcResult result) {
+  complete_call(state, std::move(result));
+  TimerService::TimerId slot = TimerService::kInvalid;
+  {
+    const std::scoped_lock lock(state->mutex);
+    slot = std::exchange(state->timer, TimerService::kInvalid);
+  }
+  // A slot firing right now is past cancelling; it finds the call
+  // completed and retires it itself.
+  if (timers_->cancel(slot)) drop_request(*state);
 }
 
 void RpcEndpoint::process_call_timer(const std::shared_ptr<RpcCallState>& state) {
+  bool completed = false;
   {
     const std::scoped_lock lock(state->mutex);
-    if (state->completed) {
-      // Reply, cancel or crash already settled it; drop our table entry.
-      const std::scoped_lock table_lock(mutex_);
-      calls_.erase(state->request_id);
-      return;
-    }
+    completed = state->completed;
+  }
+  if (completed) {
+    retire(*state);  // a cancel, or a reply racing this slot, settled it
+    return;
   }
   const auto now = std::chrono::steady_clock::now();
   if (now >= state->deadline || !up_.load()) {
@@ -268,6 +317,7 @@ void RpcEndpoint::process_call_timer(const std::shared_ptr<RpcCallState>& state)
     // (otherwise three back-to-back timeouts can read as two under load).
     if (up_.load()) note_call_outcome(state->to, /*timed_out=*/true);
     complete_call(state, RpcResult{RpcStatus::Timeout, {}, {}});
+    drop_request(*state);
     return;
   }
   auto next = state->deadline;
@@ -338,9 +388,7 @@ void RpcEndpoint::crash() {
     for (auto& [request_id, call] : calls_) abandoned.push_back(call);
     calls_.clear();
   }
-  for (auto& call : abandoned) {
-    complete_call(call, RpcResult{RpcStatus::Timeout, {}, "caller crashed"});
-  }
+  for (auto& call : abandoned) settle(call, RpcResult{RpcStatus::Timeout, {}, "caller crashed"});
 }
 
 void RpcEndpoint::restart() {
@@ -389,7 +437,7 @@ void RpcEndpoint::on_datagram(Datagram d) {
     } else {
       r.error = payload.unpack_string();
     }
-    complete_call(call, std::move(r));
+    settle(call, std::move(r));
     return;
   }
 

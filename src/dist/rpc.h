@@ -88,8 +88,10 @@ struct HealthOptions {
 
 // Shared state of one asynchronous call: the future/promise cell plus the
 // retransmission bookkeeping the timer thread works from. Owned jointly by
-// the issuing RpcFuture(s), the endpoint's call table and its timer queue,
-// so a future stays usable after the endpoint is gone.
+// the issuing RpcFuture(s), the endpoint's call table and its pending
+// retransmit slot, so a future stays usable after the endpoint is gone.
+// A call the endpoint completes (reply, crash) gives up its slot at once,
+// and with it the request, instead of holding both until the slot fires.
 struct RpcCallState {
   std::mutex mutex;
   std::condition_variable done;
@@ -99,9 +101,16 @@ struct RpcCallState {
   // completes.
   std::function<void(const RpcResult&)> callback;
 
+  // The pending retransmit slot's timer entry (kInvalid when none). Guarded
+  // by `mutex`: slots are armed only while the call has not completed, and
+  // a completer takes the id to cancel the slot.
+  TimerService::TimerId timer = TimerService::kInvalid;
+
   // Retransmission schedule. Written by the issuing thread before the first
   // timer event is scheduled and by the timer thread afterwards (the timer
-  // queue's mutex orders the hand-over); never touched concurrently.
+  // queue's mutex orders the hand-over); never touched concurrently. The
+  // request is emptied, under `mutex`, once the call has completed and no
+  // slot can fire any more.
   Datagram request;
   Uid request_id = Uid::nil();
   NodeId to = 0;
@@ -140,6 +149,10 @@ class RpcFuture {
   // callback runs on whichever thread completes the call (reply delivery,
   // timer, canceller) and must not block.
   void on_complete(std::function<void(const RpcResult&)> fn) const;
+
+  // Payload bytes of the request the call still holds for retransmission:
+  // 0 once it has completed and its retransmit slot is gone.
+  [[nodiscard]] std::size_t request_bytes() const;
 
  private:
   friend class RpcEndpoint;
@@ -252,8 +265,16 @@ class RpcEndpoint {
   // Timer callback: resends, completes the call at its deadline, or drops
   // the entry of a finished call. Runs on the timer service's thread.
   void process_call_timer(const std::shared_ptr<RpcCallState>& state);
+  // Arms the call's next retransmit slot, or retires the call when it has
+  // completed in the meantime.
   void schedule_timer(std::chrono::steady_clock::time_point due,
-                      std::shared_ptr<RpcCallState> state);
+                      const std::shared_ptr<RpcCallState>& state);
+  // Completes a call the endpoint settled itself (reply or crash) and gives
+  // up its retransmit slot now instead of at the slot's fire time.
+  void settle(const std::shared_ptr<RpcCallState>& state, RpcResult result);
+  // Drops a completed call's table entry and request once no slot of it
+  // can fire any more.
+  void retire(RpcCallState& state);
   [[nodiscard]] std::chrono::milliseconds next_jittered_delay(const RpcCallState& state);
 
   Transport& transport_;

@@ -79,13 +79,37 @@ std::shared_ptr<AtomicAction> ParticipantTable::mirror_for(const Uid& action,
   const std::scoped_lock lock(mutex_);
   auto it = mirrors_.find(action);
   if (it == mirrors_.end()) {
-    auto mirror = std::make_shared<AtomicAction>(rt_, AtomicAction::MirrorTag{}, action, colours);
-    mirror->begin_mirror(path);
-    it = mirrors_.emplace(action, Mirror{std::move(mirror), {}}).first;
+    auto mirror = std::make_shared<Mirror>();
+    mirror->action = std::make_shared<AtomicAction>(rt_, AtomicAction::MirrorTag{}, action,
+                                                    colours);
+    mirror->action->begin_mirror(path);
+    it = mirrors_.emplace(action, std::move(mirror)).first;
   } else {
-    it->second.action->add_colours(colours);
+    it->second->action->add_colours(colours);
   }
-  return it->second.action;
+  return it->second->action;
+}
+
+ParticipantTable::Held ParticipantTable::hold(const Uid& action) {
+  Held held;
+  {
+    const std::scoped_lock lock(mutex_);
+    auto it = mirrors_.find(action);
+    if (it == mirrors_.end()) return held;
+    held.mirror = it->second;
+  }
+  held.lock = std::unique_lock(held.mirror->mutex);
+  if (held.mirror->retired) {
+    held.lock.unlock();  // a step this one queued behind retired the mirror
+    return Held{};
+  }
+  return held;
+}
+
+void ParticipantTable::retire(const Uid& action, Mirror& mirror) {
+  mirror.retired = true;
+  const std::scoped_lock lock(mutex_);
+  mirrors_.erase(action);
 }
 
 bool ParticipantTable::has_mirror(const Uid& action) const {
@@ -168,14 +192,16 @@ void ParticipantTable::write_shadow_batches(
 
 bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& permanent,
                                NodeId coordinator, const std::vector<NodeId>& witnesses) {
-  const std::scoped_lock lock(mutex_);
-  auto it = mirrors_.find(action);
-  if (it == mirrors_.end()) {
+  // Only this action's mirror stays locked across the marker's waited
+  // flush: other actions' steps at this node go on meanwhile, and their
+  // markers can share the flush.
+  const Held held = hold(action);
+  if (!held.mirror) {
     // The action's state here was lost (crash) — vote no.
     MCA_LOG(Info, "tpc") << "prepare " << action << ": no mirror, voting no";
     return false;
   }
-  Mirror& mirror = it->second;
+  Mirror& mirror = *held.mirror;
   mirror.prepared.clear();
   MCA_CRASHPOINT("tpc.participant.prepare.pre_shadow");
   // The marker, written below into the default store, covers the shadows
@@ -226,14 +252,12 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
 
 void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInfo>& heirs,
                               const std::vector<wire::DeltaEntry>& deltas) {
-  std::unique_lock lock(mutex_);
-  auto it = mirrors_.find(action);
-  if (it == mirrors_.end()) {
+  const Held held = hold(action);
+  if (!held.mirror) {
     // Crash after prepare: fall back to marker-driven promotion, then apply
     // the coordinator's shipped commutative batch — the crashed mirror's
     // tallies are gone, and the chain dedup keeps a re-shipped batch from
     // double-applying.
-    lock.unlock();
     resolve_in_doubt(action, /*committed=*/true);
     for (const wire::DeltaEntry& d : deltas) {
       if (LockManaged* object = resolve_(d.object)) {
@@ -245,38 +269,31 @@ void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInf
     }
     return;
   }
-  Mirror mirror = std::move(it->second);
-  mirrors_.erase(it);
+  Mirror& mirror = *held.mirror;
+  retire(action, mirror);
   MCA_CRASHPOINT("tpc.participant.commit.pre_promote");
 
   // Pass 1: materialise every heir mirror first, so the mirror-side delta
   // tallies can transfer pending ops to them (a mirror has no parent chain;
   // the resolver below stands in for the kernel's nearest-ancestor walk).
+  // The heir's mirror must exist even when no records pass (it may inherit
+  // read locks only). No step of an heir runs meanwhile: the coordinator
+  // terminates an heir only after this commit is acknowledged.
+  std::vector<std::pair<Colour, std::shared_ptr<AtomicAction>>> heir_mirrors;
   for (const wire::HeirInfo& h : heirs) {
     if (h.heir.is_nil()) continue;
-    // The heir's mirror must exist even when no records pass (it may
-    // inherit read locks only).
-    auto hit = mirrors_.find(h.heir);
-    if (hit == mirrors_.end()) {
-      auto m = std::make_shared<AtomicAction>(rt_, AtomicAction::MirrorTag{}, h.heir,
-                                              h.heir_colours);
-      m->begin_mirror(h.heir_path);
-      mirrors_.emplace(h.heir, Mirror{std::move(m), {}});
-    } else {
-      hit->second.action->add_colours(h.heir_colours);
-    }
+    heir_mirrors.emplace_back(h.colour, mirror_for(h.heir, h.heir_path, h.heir_colours));
   }
+  const auto heir_for = [&](Colour c) -> AtomicAction* {
+    for (const auto& [colour, heir] : heir_mirrors) {
+      if (colour == c) return heir.get();
+    }
+    return nullptr;
+  };
   std::vector<ColourDisposition> dispositions;
   dispositions.reserve(heirs.size());
   for (const wire::HeirInfo& h : heirs) dispositions.push_back({h.colour, h.heir});
-  mirror.action->set_mirror_heir_resolver([&](Colour c) -> AtomicAction* {
-    for (const wire::HeirInfo& h : heirs) {
-      if (h.colour != c || h.heir.is_nil()) continue;
-      auto hit = mirrors_.find(h.heir);
-      if (hit != mirrors_.end()) return hit->second.action.get();
-    }
-    return nullptr;
-  });
+  mirror.action->set_mirror_heir_resolver(heir_for);
   // Fold (or transfer) the commutative tallies before any lock moves:
   // commit_delta appends the durable chain record, transfer re-notes the
   // pending ops on the heir mirror. The shipped `deltas` are ignored here —
@@ -316,8 +333,7 @@ void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInf
       (void)mirror.action->extract_records(h.colour);  // permanence: records done
       rt_.lock_manager().on_commit_release(action, h.colour);
     } else {
-      auto hit = mirrors_.find(h.heir);
-      hit->second.action->adopt_records(mirror.action->extract_records(h.colour));
+      heir_for(h.colour)->adopt_records(mirror.action->extract_records(h.colour));
       rt_.lock_manager().on_commit_inherit(action, h.colour, h.heir);
     }
   }
@@ -326,16 +342,11 @@ void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInf
 
 void ParticipantTable::commit_delta(const Uid& action,
                                     const std::vector<wire::DeltaEntry>& deltas) {
-  std::unique_lock lock(mutex_);
-  auto it = mirrors_.find(action);
-  std::optional<Mirror> mirror;
-  if (it != mirrors_.end()) {
-    mirror = std::move(it->second);
-    mirrors_.erase(it);
-  }
-  lock.unlock();
+  const Held held = hold(action);
+  Mirror* mirror = held.mirror.get();
+  if (mirror != nullptr) retire(action, *mirror);
   MCA_CRASHPOINT("tpc.delta.pre_apply");
-  if (mirror) {
+  if (mirror != nullptr) {
     // Live mirror: its tallies are authoritative (same ops the coordinator
     // shipped); fold them durably, then release every lock. A delta-only
     // action has no shadows, no marker, and no undo records worth keeping —
@@ -367,16 +378,16 @@ void ParticipantTable::commit_delta(const Uid& action,
 }
 
 void ParticipantTable::abort(const Uid& action) {
-  std::unique_lock lock(mutex_);
-  auto it = mirrors_.find(action);
-  if (it == mirrors_.end()) {
-    lock.unlock();
+  const Held held = hold(action);
+  if (!held.mirror) {
     resolve_in_doubt(action, /*committed=*/false);
     return;
   }
-  Mirror mirror = std::move(it->second);
-  mirrors_.erase(it);
-  lock.unlock();
+  abort_held(action, *held.mirror);
+}
+
+void ParticipantTable::abort_held(const Uid& action, Mirror& mirror) {
+  retire(action, mirror);
   MCA_CRASHPOINT("tpc.participant.abort.pre_discard");
   for (const auto& [uid, colour] : mirror.prepared) {
     if (LockManaged* object = resolve_(uid)) object->store().discard_shadow(uid);
@@ -387,23 +398,37 @@ void ParticipantTable::abort(const Uid& action) {
 }
 
 void ParticipantTable::drop_mirrors() {
-  const std::scoped_lock lock(mutex_);
-  for (auto& [uid, mirror] : mirrors_) {
+  std::unordered_map<Uid, std::shared_ptr<Mirror>> dropped;
+  {
+    const std::scoped_lock lock(mutex_);
+    dropped.swap(mirrors_);
+  }
+  for (auto& [uid, mirror] : dropped) {
+    const std::scoped_lock lock(mirror->mutex);
+    mirror->retired = true;
     try {
-      mirror.action->finish_mirror();  // not Running any more: dtor won't abort
+      mirror->action->finish_mirror();  // not Running any more: dtor won't abort
     } catch (const std::logic_error&) {
       // Already finished by a concurrent resolution; nothing to disown.
     }
   }
-  mirrors_.clear();
 }
 
 void ParticipantTable::crash() {
-  const std::scoped_lock lock(mutex_);
   // Volatile state vanishes; markers and shadows stay in the stable store
   // for recovery. Mirrors are dropped without aborting: the lock manager is
-  // cleared separately and the objects' memory is reset by the node.
-  mirrors_.clear();
+  // cleared separately and the objects' memory is reset by the node. A step
+  // in flight finishes first; one still queued for its mirror finds it
+  // retired.
+  std::unordered_map<Uid, std::shared_ptr<Mirror>> lost;
+  {
+    const std::scoped_lock lock(mutex_);
+    lost.swap(mirrors_);
+  }
+  for (auto& [uid, mirror] : lost) {
+    const std::scoped_lock lock(mirror->mutex);
+    mirror->retired = true;
+  }
 }
 
 std::vector<ParticipantTable::InDoubtEntry> ParticipantTable::in_doubt() const {
@@ -465,22 +490,18 @@ std::size_t ParticipantTable::discard_unreferenced_shadows() {
 }
 
 void ParticipantTable::resolve_prepared(const Uid& action, bool committed) {
-  std::unique_lock lock(mutex_);
-  auto it = mirrors_.find(action);
-  if (it == mirrors_.end()) {
+  const Held held = hold(action);
+  if (!held.mirror) {
     // Post-crash: only the stable marker is left.
-    lock.unlock();
     resolve_in_doubt(action, committed);
     return;
   }
+  Mirror& mirror = *held.mirror;
   if (!committed) {
-    lock.unlock();
-    abort(action);  // undoes, discards shadows, releases the mirror's locks
+    abort_held(action, mirror);  // undoes, discards shadows, releases the mirror's locks
     return;
   }
-  Mirror mirror = std::move(it->second);
-  mirrors_.erase(it);
-  lock.unlock();
+  retire(action, mirror);
   for (const auto& [uid, colour] : mirror.prepared) {
     LockManaged* object = resolve_(uid);
     (object != nullptr ? object->store() : rt_.default_store()).commit_shadow(uid);

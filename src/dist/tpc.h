@@ -141,10 +141,33 @@ class ParticipantTable {
 
  private:
   struct Mirror {
+    // Serialises this action's prepare, commit, abort and resolution steps
+    // (and crash), so one action's waited marker flush holds up no other
+    // action at this node. Guards `prepared` and `retired`.
+    std::mutex mutex;
     std::shared_ptr<AtomicAction> action;
     // (object uid, colour) pairs whose shadows were written at prepare.
     std::vector<std::pair<Uid, Colour>> prepared;
+    // Set, under `mutex`, by the step that removes the mirror from the
+    // table; a step that was waiting for the lock then treats the action as
+    // having no mirror here.
+    bool retired = false;
   };
+
+  // A mirror locked for one protocol step; `mirror` is null when the
+  // action has no live mirror here. Declared in this order so the lock is
+  // released before the mirror it refers to.
+  struct Held {
+    std::shared_ptr<Mirror> mirror;
+    std::unique_lock<std::mutex> lock;
+  };
+
+  // Looks `action` up (holding the table mutex for the lookup only) and
+  // locks its mirror.
+  Held hold(const Uid& action);
+  // Removes a held mirror from the table for good.
+  void retire(const Uid& action, Mirror& mirror);
+  void abort_held(const Uid& action, Mirror& mirror);
 
   // Lands every per-store batch through `cover`: concurrently on the runtime
   // executor when parallel termination is on and more than one store is
@@ -161,8 +184,8 @@ class ParticipantTable {
 
   Runtime& rt_;
   ObjectResolver resolve_;
-  mutable std::mutex mutex_;
-  std::unordered_map<Uid, Mirror> mirrors_;
+  mutable std::mutex mutex_;  // guards the map only, never a step's work
+  std::unordered_map<Uid, std::shared_ptr<Mirror>> mirrors_;
 };
 
 // Client-side participant forwarding an action's termination to one remote

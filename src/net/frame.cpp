@@ -1,24 +1,8 @@
 #include "net/frame.h"
 
-#include <array>
-
 #include "common/checksum.h"
 
 namespace mca::net {
-namespace {
-
-// Same little-endian mixing rule as datagram_checksum (net/transport.cpp):
-// the fragment digest must be byte-identical across hosts.
-template <typename T>
-void mix_le(Fnv1a64& h, T v) {
-  std::array<unsigned char, sizeof(T)> bytes;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    bytes[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-  h.mix(bytes.data(), bytes.size());
-}
-
-}  // namespace
 
 std::vector<std::byte> encode_frame(const Datagram& d) {
   ByteBuffer out;
@@ -61,13 +45,13 @@ FrameDecode decode_frame(std::span<const std::byte> bytes, Datagram& out,
 // -- fragmentation ------------------------------------------------------------
 
 std::uint64_t fragment_checksum(const Fragment& f, std::span<const std::byte> chunk) {
-  Fnv1a64 h;
-  mix_le(h, f.from);
-  mix_le(h, f.to);
-  mix_le(h, f.message.hi());
-  mix_le(h, f.message.lo());
-  mix_le(h, f.index);
-  mix_le(h, f.count);
+  Crc32c h;
+  h.mix_le(f.from);
+  h.mix_le(f.to);
+  h.mix_le(f.message.hi());
+  h.mix_le(f.message.lo());
+  h.mix_le(f.index);
+  h.mix_le(f.count);
   h.mix(chunk.data(), chunk.size());
   return h.digest();
 }

@@ -10,8 +10,9 @@
 // All integers are little-endian (ByteBuffer's encoding) and strings/bytes
 // are u32-length-prefixed, so the bytes are identical on every host; the
 // trailing checksum is datagram_checksum() over the decoded fields — the
-// same FNV-1a digest the simulator stamps, now also endian-stable. A golden
-// -bytes regression test pins the encoding (tests/test_network.cpp).
+// same CRC-32C digest the simulator stamps, endian-stable, zero-extended to
+// u64. A golden-bytes regression test pins the encoding
+// (tests/test_network.cpp).
 //
 // Messages larger than one datagram travel as 'MUF2' *fragment* frames: the
 // full MUF1 frame is encoded once, sliced into chunks, and each chunk ships
@@ -23,7 +24,7 @@
 //   [u32 index]        [u32 count]
 //   [bytes chunk]      [u64 checksum]
 //
-// The trailing checksum is fragment_checksum() (FNV-1a over the header
+// The trailing checksum is fragment_checksum() (CRC-32C over the header
 // fields and chunk bytes, all mixed little-endian), so a damaged fragment is
 // dropped alone; the reassembled MUF1 frame still carries the end-to-end
 // datagram checksum over the whole message. Reassembly lives in
@@ -84,8 +85,9 @@ struct Fragment {
   std::uint32_t count = 0;
 };
 
-// FNV-1a over the fragment header fields and chunk bytes, every multi-byte
-// field mixed as little-endian — endian-stable like datagram_checksum.
+// CRC-32C over the fragment header fields and chunk bytes, every multi-byte
+// field mixed as little-endian, zero-extended to u64 — endian-stable like
+// datagram_checksum.
 [[nodiscard]] std::uint64_t fragment_checksum(const Fragment& f,
                                               std::span<const std::byte> chunk);
 

@@ -1,35 +1,16 @@
 #include "net/transport.h"
 
-#include <array>
-
 #include "common/checksum.h"
 
 namespace mca {
-namespace {
-
-// Mix an integer into the digest as little-endian bytes regardless of host
-// order: the wire digest must be byte-identical across machines now that
-// frames cross real network boundaries (net/frame.h). On little-endian
-// hosts this is exactly the raw-memory mix the simulator always did, so
-// existing in-process digests are unchanged.
-template <typename T>
-void mix_le(Fnv1a64& h, T v) {
-  std::array<unsigned char, sizeof(T)> bytes;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    bytes[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-  h.mix(bytes.data(), bytes.size());
-}
-
-}  // namespace
 
 std::uint64_t datagram_checksum(const Datagram& d) {
-  Fnv1a64 h;
-  mix_le(h, d.from);
-  mix_le(h, d.to);
+  Crc32c h;
+  h.mix_le(d.from);
+  h.mix_le(d.to);
   h.mix(d.service.data(), d.service.size());
-  mix_le(h, d.request_id.hi());
-  mix_le(h, d.request_id.lo());
+  h.mix_le(d.request_id.hi());
+  h.mix_le(d.request_id.lo());
   const unsigned char reply = d.is_reply ? 1 : 0;
   h.mix(&reply, sizeof reply);
   h.mix(d.payload.bytes().data(), d.payload.size());

@@ -18,7 +18,7 @@
 //   UdpTransport (net/udp_transport.h)  real UDP sockets, one process per
 //                                  node; frames cross machine boundaries in
 //                                  the endian-stable encoding of net/frame.h
-//                                  and are verified by the same FNV-1a
+//                                  and are verified by the same CRC-32C
 //                                  checksum the simulator stamps.
 //
 // Handlers run on the transport's delivery thread and must not block; nodes
@@ -43,15 +43,19 @@ struct Datagram {
   Uid request_id = Uid::nil();
   bool is_reply = false;
   ByteBuffer payload;
-  // Wire checksum over header + payload; stamped by the transport's send,
-  // verified at delivery. 0 = not yet stamped.
+  // Wire checksum over header + payload: datagram_checksum(), a CRC-32C
+  // zero-extended to 64 bits. Stamped by the transport's send, verified at
+  // delivery. 0 = not yet stamped.
   std::uint64_t checksum = 0;
 };
 
-// FNV-1a over the datagram's identifying fields and payload bytes. Any
-// single corrupted byte changes the digest. Multi-byte fields are mixed in
-// little-endian byte order, so the digest of a given datagram is identical
-// on every host — a frame checksummed on one machine verifies on another.
+// CRC-32C over the datagram's identifying fields and payload bytes,
+// zero-extended to u64. Any burst of corrupted bits up to 32 long changes
+// the digest. Multi-byte fields are mixed in little-endian byte order, so
+// the digest of a given datagram is identical on every host — a frame
+// checksummed on one machine verifies on another. Every node of a cluster
+// must compute the same digest: a peer from a build with another wire
+// checksum has all its frames dropped as corrupt.
 [[nodiscard]] std::uint64_t datagram_checksum(const Datagram& d);
 
 // What happened to a datagram at the send boundary. `Accepted` means the

@@ -151,6 +151,59 @@ TEST(AsyncRpc, CrashCompletesInFlightCalls) {
   a.restart();
 }
 
+TEST(AsyncRpc, CompletedCallGivesUpItsRetransmitSlotAndRequest) {
+  // A call's pending retransmit slot is a timer entry that holds the call,
+  // request included. The reply that completes the call must take the slot
+  // and the request with it instead of leaving both until the slot fires.
+  Network net(fast_config());
+  TimerService timers;
+  RpcEndpoint a(net, 1, 8, RpcEndpoint::kDefaultReplyCacheCapacity, &timers);
+  RpcEndpoint b(net, 2);
+  b.register_service("echo", [](ByteBuffer& args) {
+    std::this_thread::sleep_for(std::chrono::microseconds(args.unpack_u32()));
+    return ByteBuffer(args.unpack_bytes());
+  });
+  const std::size_t baseline = timers.stats().pending;
+  // Polls, well inside the 5 s slots below, for every slot and request gone.
+  const auto released = [&](const std::vector<RpcFuture>& futures) {
+    for (int i = 0; i < 2000; ++i) {
+      bool all = timers.stats().pending == baseline;
+      for (const RpcFuture& f : futures) all = all && f.request_bytes() == 0;
+      if (all) return true;
+      std::this_thread::sleep_for(1ms);
+    }
+    return false;
+  };
+  const auto echo_args = [](std::uint32_t sleep_us, std::size_t bytes) {
+    ByteBuffer args;
+    args.pack_u32(sleep_us);
+    args.pack_bytes(std::vector<std::byte>(bytes, std::byte{0x5A}));
+    return args;
+  };
+
+  CallOptions slow;
+  slow.timeout = 20s;
+  slow.initial_backoff = 5s;
+  slow.max_backoff = 5s;
+  const RpcFuture fut = a.call_async(2, "echo", echo_args(0, 64 * 1024), slow);
+  ASSERT_TRUE(fut.get().ok());
+  EXPECT_TRUE(released({fut})) << "pending " << timers.stats().pending << " (baseline "
+                               << baseline << "), request bytes " << fut.request_bytes();
+
+  // Replies landing while 1 ms slots fire: whichever side wins, no slot and
+  // no request outlives its call.
+  CallOptions eager;
+  eager.initial_backoff = 1ms;
+  eager.max_backoff = 1ms;
+  std::vector<RpcFuture> futures;
+  for (int i = 0; i < 200; ++i) {
+    futures.push_back(a.call_async(2, "echo", echo_args(1000, 16), eager));
+  }
+  for (const RpcFuture& f : futures) ASSERT_TRUE(f.get().ok());
+  EXPECT_TRUE(released(futures)) << "pending " << timers.stats().pending << " (baseline "
+                                 << baseline << ")";
+}
+
 // -- parallel termination: vote gathering -------------------------------------
 
 // Appends protocol events to a shared journal; vote and phase-two behaviour

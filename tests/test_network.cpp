@@ -485,10 +485,13 @@ Datagram golden_datagram() {
 
 TEST(Frame, GoldenBytesPinTheWireEncoding) {
   // The exact bytes of one frame, pinned: every integer little-endian,
-  // strings and payload u32-length-prefixed, FNV-1a checksum last. A failure
-  // here means the wire format changed — which silently breaks mixed-version
-  // and mixed-endian deployments, so it must be a deliberate, versioned
-  // decision (bump kFrameMagic), never an accident.
+  // strings and payload u32-length-prefixed, the CRC-32C checksum last
+  // (zero-extended to u64). A failure here means the wire format changed —
+  // which silently breaks mixed-endian deployments, so it must be a
+  // deliberate decision, never an accident: a layout change bumps
+  // kFrameMagic; a digest change keeps the layout and the magic, and an
+  // older peer's frames read as corrupt. The digests below come from a
+  // bitwise CRC-32C reference, not from this code.
   const std::vector<std::byte> bytes = net::encode_frame(golden_datagram());
   const unsigned char expected[] = {
       0x4D, 0x55, 0x46, 0x31, 0x07, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
@@ -496,7 +499,7 @@ TEST(Frame, GoldenBytesPinTheWireEncoding) {
       0x72, 0x65, 0x70, 0x61, 0x72, 0x65, 0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45,
       0x23, 0x01, 0x10, 0x32, 0x54, 0x76, 0x98, 0xBA, 0xDC, 0xFE, 0x0E, 0x00,
       0x00, 0x00, 0xEF, 0xBE, 0xAD, 0xDE, 0x06, 0x00, 0x00, 0x00, 0x67, 0x6F,
-      0x6C, 0x64, 0x65, 0x6E, 0x61, 0xA4, 0x9C, 0xEC, 0xD7, 0x7B, 0xEF, 0x06,
+      0x6C, 0x64, 0x65, 0x6E, 0xDD, 0xD5, 0x38, 0xCD, 0x00, 0x00, 0x00, 0x00,
   };
   ASSERT_EQ(bytes.size(), sizeof expected);
   for (std::size_t i = 0; i < sizeof expected; ++i) {
@@ -507,7 +510,7 @@ TEST(Frame, GoldenBytesPinTheWireEncoding) {
 TEST(Frame, GoldenChecksumPinsTheDigest) {
   // datagram_checksum mixes every field as little-endian bytes, so this
   // value is what every host must compute, whatever its native order.
-  EXPECT_EQ(datagram_checksum(golden_datagram()), 0x06EF7BD7EC9CA461ULL);
+  EXPECT_EQ(datagram_checksum(golden_datagram()), 0x00000000CD38D5DDULL);
 }
 
 TEST(Frame, RoundTripsThroughEncodeDecode) {
@@ -573,14 +576,14 @@ std::vector<std::byte> bytes_of(std::string_view text) {
 TEST(Fragment, GoldenBytesPinTheWireEncoding) {
   // The exact bytes of one MUF2 fragment frame, pinned exactly like the MUF1
   // golden test above: header fields little-endian, chunk u32-length-prefixed,
-  // fragment_checksum last. Changing this encoding must bump kFragmentMagic.
+  // fragment_checksum last. Changing this layout must bump kFragmentMagic.
   const std::vector<std::byte> bytes = net::encode_fragment(golden_fragment(), bytes_of("frag"));
   const unsigned char expected[] = {
       0x4D, 0x55, 0x46, 0x32, 0x07, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
       0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, 0x10, 0x32, 0x54, 0x76,
       0x98, 0xBA, 0xDC, 0xFE, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
-      0x04, 0x00, 0x00, 0x00, 0x66, 0x72, 0x61, 0x67, 0x0B, 0x0C, 0xAA, 0xFE,
-      0xBE, 0xA3, 0x7A, 0xB0,
+      0x04, 0x00, 0x00, 0x00, 0x66, 0x72, 0x61, 0x67, 0x58, 0x5F, 0x41, 0x73,
+      0x00, 0x00, 0x00, 0x00,
   };
   ASSERT_EQ(bytes.size(), sizeof expected);
   for (std::size_t i = 0; i < sizeof expected; ++i) {
@@ -589,7 +592,7 @@ TEST(Fragment, GoldenBytesPinTheWireEncoding) {
 }
 
 TEST(Fragment, GoldenChecksumPinsTheDigest) {
-  EXPECT_EQ(net::fragment_checksum(golden_fragment(), bytes_of("frag")), 0xB07AA3BEFEAA0C0BULL);
+  EXPECT_EQ(net::fragment_checksum(golden_fragment(), bytes_of("frag")), 0x0000000073415F58ULL);
 }
 
 TEST(Fragment, RoundTripsThroughEncodeDecode) {

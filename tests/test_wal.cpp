@@ -616,6 +616,134 @@ TEST_F(WalTest, CoordinatorPrepareShadowsOnlyQueue) {
   EXPECT_EQ(committed.unpack_i64(), 80);
 }
 
+// One action's prepare parked in its marker's flush holds up no other action
+// at that node: the participant table's mutex covers lookups only, and each
+// action's steps serialise on a lock of their own.
+TEST_F(WalTest, PrepareParkedInItsMarkerFlushHoldsUpNoOtherAction) {
+  NetworkConfig config;
+  config.min_delay = std::chrono::microseconds(10);
+  config.max_delay = std::chrono::microseconds(200);
+  Network net(config);
+  FsyncGate gate;
+  WalStore store(dir_, gate.options());
+  DistNode coordinator(net, 1);
+  DistNode participant(net, 2, &store);
+  RecoverableInt x(participant.runtime(), 100), y(participant.runtime(), 100);
+  participant.host(x);
+  participant.host(y);
+  store.write(make_state(Uid(), "warm"));  // the committer is running, idle
+
+  crash_points::reset();
+  std::atomic<bool> marking{false};
+  crash_points::arm("tpc.participant.post_shadow_pre_marker", 0, [&] { marking.store(true); });
+  gate.open.store(false);
+  // Each action runs on a thread of its own; a failure is recorded, not thrown.
+  const auto run = [&](const Uid& object, std::int64_t delta, std::atomic<bool>& invoked,
+                       std::atomic<int>& outcome) {
+    return std::thread([&, object, delta] {
+      try {
+        AtomicAction act(coordinator.runtime());
+        act.begin();
+        RemoteInt(coordinator, participant.id(), object).add(delta);
+        invoked.store(true);
+        outcome.store(static_cast<int>(act.commit()));
+      } catch (const std::exception&) {
+        outcome.store(-1);
+      }
+    });
+  };
+  constexpr int kRunning = -2;
+  std::atomic<bool> a_invoked{false}, b_invoked{false};
+  std::atomic<int> a_outcome{kRunning}, b_outcome{kRunning};
+
+  std::thread a = run(x.uid(), -10, a_invoked, a_outcome);
+  // A's marker is written and its flush is held inside fsync.
+  ASSERT_TRUE(eventually([&] { return marking.load() && gate.held.load() == 1; }));
+  std::thread b = run(y.uid(), 10, b_invoked, b_outcome);
+  const bool b_through =
+      eventually([&] { return b_invoked.load() || b_outcome.load() != kRunning; });
+  EXPECT_TRUE(b_through && b_invoked.load()) << "B's invoke waited behind A's marker flush";
+  EXPECT_EQ(a_outcome.load(), kRunning) << "A's prepare left the gate before it opened";
+
+  gate.open.store(true);
+  a.join();
+  b.join();
+  crash_points::reset();
+  EXPECT_EQ(a_outcome.load(), static_cast<int>(Outcome::Committed));
+  EXPECT_EQ(b_outcome.load(), static_cast<int>(Outcome::Committed));
+  const auto x_state = store.read(x.uid());
+  const auto y_state = store.read(y.uid());
+  ASSERT_TRUE(x_state.has_value() && y_state.has_value());
+  ByteBuffer x_value = x_state->state();
+  ByteBuffer y_value = y_state->state();
+  EXPECT_EQ(x_value.unpack_i64(), 90);
+  EXPECT_EQ(y_value.unpack_i64(), 110);
+}
+
+// The other half of the per-mirror lock: steps of the *same* action still
+// run one at a time. An abort that arrives while the action's prepare is
+// between its shadows and its marker waits for the prepare, then discards
+// what it wrote; run alongside it, it would find no marker to drop, and
+// the prepare would then write one that nothing resolves.
+TEST_F(WalTest, AbortQueuesBehindItsOwnActionsPrepare) {
+  NetworkConfig config;
+  config.min_delay = std::chrono::microseconds(10);
+  config.max_delay = std::chrono::microseconds(200);
+  Network net(config);
+  WalStore store(dir_);
+  DistNode coordinator(net, 1);
+  DistNode participant(net, 2, &store);
+  RecoverableInt x(participant.runtime(), 100);
+  participant.host(x);
+
+  AtomicAction act(coordinator.runtime());
+  act.begin();
+  RemoteInt(coordinator, participant.id(), x.uid()).add(-10);
+  std::vector<Colour> permanent;
+  for (const Colour c : act.colours()) permanent.push_back(c);
+  ParticipantTable& table = participant.participants();
+
+  // Park the prepare after its shadows, before its marker.
+  crash_points::reset();
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  crash_points::arm("tpc.participant.post_shadow_pre_marker", 0, [&] {
+    parked.store(true);
+    while (!release.load()) std::this_thread::sleep_for(100us);
+  });
+  std::atomic<bool> voted{false};
+  std::thread preparer([&] { voted.store(table.prepare(act.uid(), permanent, coordinator.id())); });
+  ASSERT_TRUE(eventually([&] { return parked.load(); }));
+  std::atomic<bool> aborted{false};
+  std::thread aborter([&] {
+    table.abort(act.uid());
+    aborted.store(true);
+  });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_FALSE(aborted.load()) << "the abort ran alongside its action's prepare";
+
+  release.store(true);
+  preparer.join();
+  aborter.join();
+  crash_points::reset();
+  EXPECT_TRUE(voted.load());
+  EXPECT_EQ(table.mirror_count(), 0u);
+  EXPECT_EQ(participant.in_doubt_count(), 0u);
+  EXPECT_TRUE(store.shadow_uids().empty());
+  EXPECT_FALSE(store.read(x.uid()).has_value());  // never committed
+  act.abort();
+
+  // The abort released x: a new action writes it and commits.
+  AtomicAction next(coordinator.runtime());
+  next.begin();
+  RemoteInt(coordinator, participant.id(), x.uid()).add(5);
+  EXPECT_EQ(next.commit(), Outcome::Committed);
+  const auto x_state = store.read(x.uid());
+  ASSERT_TRUE(x_state.has_value());
+  ByteBuffer x_value = x_state->state();
+  EXPECT_EQ(x_value.unpack_i64(), 105);
+}
+
 // The two stable backends must agree on every observable after the same
 // workload — both live and after a crash/reopen cycle.
 TEST_F(WalTest, MatchesFileStoreOnTheSameWorkload) {
