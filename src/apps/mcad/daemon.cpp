@@ -108,7 +108,6 @@ ByteBuffer pack_transfer(const std::vector<TransferLeg>& legs) {
 NodeDaemon::NodeDaemon(DaemonConfig config) : config_(std::move(config)) {
   UdpTransportConfig tc;
   tc.peers = config_.peers;
-  tc.rx_mode = config_.rx_mode;
   tc.timers = &net_timers_;  // periodic reassembly expiry sweep
   transport_ = std::make_unique<UdpTransport>(std::move(tc));
   node_ = std::make_unique<DistNode>(*transport_, config_.id, config_.data_dir, config_.backend,

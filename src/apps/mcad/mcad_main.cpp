@@ -5,7 +5,6 @@
 //        --peers "1=127.0.0.1:9001,2=127.0.0.1:9002,3=127.0.0.1:9003" \
 //        [--store wal|file|memory] [--witnesses "2,3"] \
 //        [--ints "10=100,11=0"] [--blobs "20,21"] [--workers 8] \
-//        [--rx-mode reactor|thread-per-id] \
 //        [--invoke-timeout-ms 4000] [--tpc-timeout-ms 1000]
 //
 // The process serves until ctl.shutdown arrives (exit 0) or it is killed.
@@ -24,7 +23,6 @@ int usage(const char* argv0) {
                "usage: %s --id N --data DIR --peers \"id=host:port,...\"\n"
                "          [--store wal|file|memory] [--witnesses \"id,...\"]\n"
                "          [--ints \"key=initial,...\"] [--blobs \"key,...\"] [--workers N]\n"
-               "          [--rx-mode reactor|thread-per-id]\n"
                "          [--invoke-timeout-ms N] [--tpc-timeout-ms N]\n",
                argv0);
   return 2;
@@ -67,15 +65,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--blobs") {
         for (const NodeId key : parse_node_list(value())) {
           config.blobs.push_back(static_cast<std::uint32_t>(key));
-        }
-      } else if (arg == "--rx-mode") {
-        const std::string mode = value();
-        if (mode == "reactor") {
-          config.rx_mode = RxMode::Reactor;
-        } else if (mode == "thread-per-id") {
-          config.rx_mode = RxMode::ThreadPerId;
-        } else {
-          throw std::invalid_argument("unknown rx mode '" + mode + "'");
         }
       } else if (arg == "--workers") {
         config.rpc_workers = std::stoul(value());

@@ -1,6 +1,7 @@
 #include "common/buffer.h"
 
 #include <bit>
+#include <mutex>
 
 namespace mca {
 namespace {
@@ -101,13 +102,98 @@ Uid ByteBuffer::unpack_uid() {
 }
 
 std::vector<std::byte> ByteBuffer::unpack_bytes() {
+  const auto run = unpack_span();
+  return {run.begin(), run.end()};
+}
+
+std::span<const std::byte> ByteBuffer::unpack_span() {
   const std::uint32_t len = unpack_u32();
   if (len > remaining()) throw BufferUnderflow();
-  const auto src = bytes();
-  std::vector<std::byte> out(src.begin() + static_cast<std::ptrdiff_t>(cursor_),
-                             src.begin() + static_cast<std::ptrdiff_t>(cursor_ + len));
+  const auto run = bytes().subspan(cursor_, len);
   cursor_ += len;
-  return out;
+  return run;
+}
+
+ByteBuffer ByteBuffer::unpack_slice() {
+  const auto run = unpack_span();
+  if (owner_ != nullptr) return window(owner_, run);
+  if (is_view_) return reader(run);
+  return ByteBuffer(std::vector<std::byte>(run.begin(), run.end()));
+}
+
+ByteBuffer ByteBuffer::share() && {
+  if (owner_ == nullptr) {
+    auto storage = std::make_shared<const std::vector<std::byte>>(
+        is_view_ ? std::vector<std::byte>(view_.begin(), view_.end()) : std::move(data_));
+    view_ = *storage;
+    owner_ = std::move(storage);
+    is_view_ = true;
+  }
+  return std::move(*this);
+}
+
+// -- BufferPool ----------------------------------------------------------------
+
+struct BufferPool::Shelf {
+  struct Block {
+    std::unique_ptr<std::byte[]> data;
+    std::size_t capacity = 0;
+  };
+
+  // Keeps `block` if it is small enough and the list has room; otherwise
+  // the block is freed on return, after the lock is dropped.
+  void put(Block block) {
+    if (block.capacity > kMaxBlockBytes) return;
+    const std::scoped_lock lock(mutex);
+    if (blocks.size() < kMaxBlocks) blocks.push_back(std::move(block));
+  }
+
+  // A lent block's deleter: the block comes back to its shelf, which this
+  // keeps alive for as long as the block is out.
+  struct Return {
+    std::shared_ptr<Shelf> shelf;
+    std::size_t capacity = 0;
+
+    void operator()(std::byte* p) const {
+      shelf->put(Block{std::unique_ptr<std::byte[]>(p), capacity});
+    }
+  };
+
+  std::mutex mutex;
+  std::vector<Block> blocks;
+};
+
+BufferPool::BufferPool() : shelf_(std::make_shared<Shelf>()) {}
+
+SharedBytes BufferPool::acquire(std::size_t bytes) const {
+  Shelf::Block block;
+  {
+    const std::scoped_lock lock(shelf_->mutex);
+    auto& blocks = shelf_->blocks;
+    auto best = blocks.end();
+    for (auto it = blocks.begin(); it != blocks.end(); ++it) {
+      if (it->capacity >= bytes && (best == blocks.end() || it->capacity < best->capacity)) {
+        best = it;
+      }
+    }
+    if (best != blocks.end()) {
+      block = std::move(*best);
+      *best = std::move(blocks.back());
+      blocks.pop_back();
+    }
+  }
+  if (block.data == nullptr) {
+    block.capacity = (bytes + kGranule - 1) / kGranule * kGranule;
+    block.data = std::make_unique_for_overwrite<std::byte[]>(block.capacity);
+  }
+  std::byte* raw = block.data.release();
+  return SharedBytes{std::shared_ptr<void>(raw, Shelf::Return{shelf_, block.capacity}),
+                     std::span<std::byte>(raw, bytes)};
+}
+
+std::size_t BufferPool::kept() const {
+  const std::scoped_lock lock(shelf_->mutex);
+  return shelf_->blocks.size();
 }
 
 }  // namespace mca

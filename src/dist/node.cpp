@@ -174,7 +174,9 @@ void DistNode::register_services() {
     const LockPlan plan = wire::unpack_plan(args);
     const Uid object_uid = args.unpack_uid();
     const std::string op = args.unpack_string();
-    ByteBuffer op_args(args.unpack_bytes());
+    // A window on the request's bytes (which may be the reassembled
+    // message's buffer), alive until the dispatcher returns.
+    ByteBuffer op_args = args.unpack_slice();
 
     LockManaged* object = resolve(object_uid);
     if (object == nullptr) {
@@ -361,7 +363,8 @@ std::vector<NodeId> DistNode::coordinator_mirrors() const {
 }
 
 RpcResult DistNode::call_blocking(NodeId target, const std::string& service,
-                                  const ByteBuffer& request, CallOptions options) {
+                                  ByteBuffer request, CallOptions options) {
+  request = std::move(request).share();  // a retry sends the same bytes
   RpcResult r = rpc_.call(target, service, request, options);
   if (r.status != RpcStatus::Unreachable) return r;
   // Suspected peer: wait for its probe slot and retry once. If another
@@ -401,11 +404,11 @@ ByteBuffer DistNode::invoke(NodeId target, const Uid& object, const std::string&
   wire::pack_plan(request, action.lock_plan());
   request.pack_uid(object);
   request.pack_string(op);
-  request.pack_bytes(args.data());
+  request.pack_bytes(args.bytes());
 
   // Server-side lock waits can be long; give the call a generous deadline
   // (the lock itself still times out server-side).
-  RpcResult r = call_blocking(target, "obj.invoke", request,
+  RpcResult r = call_blocking(target, "obj.invoke", std::move(request),
                               CallOptions{invoke_timeout_, std::chrono::milliseconds(200)});
   switch (r.status) {
     case RpcStatus::Ok: {
@@ -419,7 +422,7 @@ ByteBuffer DistNode::invoke(NodeId target, const Uid& object, const std::string&
       } else if (kind == 2) {
         participant->note_classical();
       }
-      return ByteBuffer(r.payload.unpack_bytes());
+      return r.payload.unpack_slice();
     }
     case RpcStatus::Timeout:
     case RpcStatus::Unreachable:
@@ -469,7 +472,7 @@ LockOutcome DistNode::remote_lock(NodeId target, const Uid& object, LockMode mod
   request.pack_u8(static_cast<std::uint8_t>(mode));
   wire::pack_colour(request, colour);
 
-  RpcResult r = call_blocking(target, "obj.lock", request,
+  RpcResult r = call_blocking(target, "obj.lock", std::move(request),
                               CallOptions{invoke_timeout_, std::chrono::milliseconds(200)});
   switch (r.status) {
     case RpcStatus::Ok:

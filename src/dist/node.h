@@ -210,9 +210,10 @@ class DistNode {
   // once (the retry is the probe). A node that came back is re-adopted after
   // at most one probe interval instead of surfacing Unreachable to the
   // application; a node still down fails after ~one probe wait, far below
-  // the old full-timeout burn.
+  // the old full-timeout burn. The request is shared first, so the retry
+  // resends it without copying it.
   [[nodiscard]] RpcResult call_blocking(NodeId target, const std::string& service,
-                                        const ByteBuffer& request, CallOptions options);
+                                        ByteBuffer request, CallOptions options);
 
   // Coordinator unreachable: try the witness mirrors its prepared marker
   // names. True when the entry was resolved (or this node died trying).

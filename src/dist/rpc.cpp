@@ -213,7 +213,10 @@ RpcFuture RpcEndpoint::call_async(NodeId to, const std::string& service, ByteBuf
   const Uid request_id;
   state->request_id = request_id;
   state->to = to;
-  state->request = Datagram{id_, to, service, request_id, /*is_reply=*/false, std::move(args)};
+  // Shared once here, so the first send and every retransmit copy a handle,
+  // not the arguments.
+  state->request =
+      Datagram{id_, to, service, request_id, /*is_reply=*/false, std::move(args).share()};
   state->deadline = std::chrono::steady_clock::now() + options.timeout;
   state->initial = std::max<std::chrono::milliseconds>(options.initial_backoff,
                                                        std::chrono::milliseconds(1));
@@ -429,13 +432,21 @@ void RpcEndpoint::on_datagram(Datagram d) {
       calls_.erase(it);
       peers_.erase(d.from);  // any reply clears suspicion of its sender
     }
+    // The call is out of the table, so it must complete here, whatever the
+    // reply holds: a payload that does not parse (a peer's bug or a forged
+    // frame with a valid digest) is an application error, not a throw out
+    // of the delivery thread.
     ByteBuffer& payload = d.payload;
-    RpcResult r;
-    r.status = static_cast<RpcStatus>(payload.unpack_u8());
-    if (r.status == RpcStatus::Ok) {
-      r.payload = ByteBuffer(payload.unpack_bytes());
-    } else {
-      r.error = payload.unpack_string();
+    RpcResult r{RpcStatus::AppError, {}, "malformed reply"};
+    try {
+      const auto status = static_cast<RpcStatus>(payload.unpack_u8());
+      if (status == RpcStatus::Ok) {
+        r = RpcResult{status, payload.unpack_slice(), {}};
+      } else if (status == RpcStatus::Timeout || status == RpcStatus::AppError) {
+        r = RpcResult{status, {}, payload.unpack_string()};
+      }  // Unreachable is a local verdict, never a reply; anything else is junk
+    } catch (const BufferUnderflow&) {
+      // stays the malformed-reply error
     }
     settle(call, std::move(r));
     return;
@@ -481,15 +492,16 @@ void RpcEndpoint::serve(Datagram d) {
     try {
       ByteBuffer result = service(d.payload);
       reply_payload.pack_u8(static_cast<std::uint8_t>(RpcStatus::Ok));
-      reply_payload.pack_bytes(result.data());
+      reply_payload.pack_bytes(result.bytes());
     } catch (const std::exception& e) {
       reply_payload.pack_u8(static_cast<std::uint8_t>(RpcStatus::AppError));
       reply_payload.pack_string(e.what());
     }
   }
 
+  // Shared: the reply cache and the send each hold a handle on one copy.
   Datagram reply{id_, d.from, d.service, d.request_id, /*is_reply=*/true,
-                 std::move(reply_payload)};
+                 std::move(reply_payload).share()};
   {
     const std::scoped_lock lock(mutex_);
     in_progress_.erase(d.request_id);

@@ -98,7 +98,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
 
   UdpTransportConfig tc;
   tc.peers = peers_;
-  tc.rx_mode = config_.rx_mode;
   transport_ = std::make_unique<UdpTransport>(std::move(tc));
   rpc_ = std::make_unique<RpcEndpoint>(*transport_, config_.driver_id);
 
@@ -170,10 +169,6 @@ void Cluster::spawn(NodeId node) {
     }
     argv.push_back("--blobs");
     argv.push_back(std::move(spec));
-  }
-  if (config_.rx_mode == RxMode::ThreadPerId) {
-    argv.push_back("--rx-mode");
-    argv.push_back("thread-per-id");
   }
 
   std::filesystem::create_directories(data_dir(node));

@@ -49,8 +49,6 @@ struct ClusterConfig {
   std::filesystem::path root;  // per-node data dirs + logs live underneath
   StoreBackend backend = StoreBackend::Wal;
   NodeId driver_id = 100;
-  // Receive machinery of every daemon AND the driver's own transport.
-  RxMode rx_mode = RxMode::Reactor;
   std::chrono::milliseconds daemon_invoke_timeout{4'000};
   std::chrono::milliseconds daemon_tpc_timeout{1'000};
 };

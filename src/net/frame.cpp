@@ -1,25 +1,57 @@
 #include "net/frame.h"
 
+#include <cstring>
+
 #include "common/checksum.h"
 
 namespace mca::net {
+namespace {
 
-std::vector<std::byte> encode_frame(const Datagram& d) {
-  ByteBuffer out;
-  out.pack_u32(kFrameMagic);
-  out.pack_u32(d.from);
-  out.pack_u32(d.to);
-  out.pack_u32(d.is_reply ? 1u : 0u);
-  out.pack_string(d.service);
-  out.pack_u64(d.request_id.hi());
-  out.pack_u64(d.request_id.lo());
-  out.pack_bytes(d.payload.bytes());
-  out.pack_u64(datagram_checksum(d));
-  return out.data();
+// MUF1 bytes around the service name and payload: magic, from, to, flags,
+// the two length prefixes, the request uid and the checksum.
+constexpr std::size_t kFrameFixedBytes = 4 * 4 + 4 + 16 + 4 + 8;
+
+// Little-endian stores into a buffer sized in advance: the exact-size
+// counterpart of ByteBuffer's packing, same byte order.
+struct Writer {
+  std::byte* at;
+
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
+  void raw(const void* src, std::size_t n) {
+    if (n != 0) std::memcpy(at, src, n);
+    at += n;
+  }
+
+ private:
+  template <typename T>
+  void le(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      *at++ = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+    }
+  }
+};
+
+void write_frame(const Datagram& d, std::span<std::byte> out) {
+  const auto payload = d.payload.bytes();
+  Writer w{out.data()};
+  w.u32(kFrameMagic);
+  w.u32(d.from);
+  w.u32(d.to);
+  w.u32(d.is_reply ? 1u : 0u);
+  w.u32(static_cast<std::uint32_t>(d.service.size()));
+  w.raw(d.service.data(), d.service.size());
+  w.u64(d.request_id.hi());
+  w.u64(d.request_id.lo());
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.raw(payload.data(), payload.size());
+  w.u64(datagram_checksum(d));
 }
 
-FrameDecode decode_frame(std::span<const std::byte> bytes, Datagram& out,
-                         std::size_t max_bytes) {
+// Both decode_frame overloads: `owner`, when set, makes the payload a window
+// on `bytes` instead of a copy.
+FrameDecode decode(std::span<const std::byte> bytes, Datagram& out, std::size_t max_bytes,
+                   std::shared_ptr<void> owner) {
   if (bytes.size() > max_bytes) return FrameDecode::Malformed;
   ByteBuffer in = ByteBuffer::reader(bytes);
   std::uint64_t claimed = 0;
@@ -32,7 +64,10 @@ FrameDecode decode_frame(std::span<const std::byte> bytes, Datagram& out,
     const std::uint64_t hi = in.unpack_u64();
     const std::uint64_t lo = in.unpack_u64();
     out.request_id = Uid(hi, lo);
-    out.payload = ByteBuffer(in.unpack_bytes());
+    const auto payload = in.unpack_span();
+    out.payload = owner != nullptr
+                      ? ByteBuffer::window(std::move(owner), payload)
+                      : ByteBuffer(std::vector<std::byte>(payload.begin(), payload.end()));
     claimed = in.unpack_u64();
   } catch (const BufferUnderflow&) {
     return FrameDecode::Malformed;
@@ -40,6 +75,47 @@ FrameDecode decode_frame(std::span<const std::byte> bytes, Datagram& out,
   if (!in.exhausted()) return FrameDecode::Malformed;  // trailing junk
   out.checksum = datagram_checksum(out);
   return out.checksum == claimed ? FrameDecode::Ok : FrameDecode::ChecksumMismatch;
+}
+
+}  // namespace
+
+std::size_t frame_size(const Datagram& d) {
+  return kFrameFixedBytes + d.service.size() + d.payload.size();
+}
+
+std::vector<std::byte> encode_frame(const Datagram& d) {
+  std::vector<std::byte> out(frame_size(d));
+  write_frame(d, out);
+  return out;
+}
+
+SharedBytes encode_frame(const Datagram& d, const BufferPool& pool) {
+  SharedBytes out = pool.acquire(frame_size(d));
+  write_frame(d, out.bytes);
+  return out;
+}
+
+FrameDecode decode_frame(std::span<const std::byte> bytes, Datagram& out,
+                         std::size_t max_bytes) {
+  return decode(bytes, out, max_bytes, nullptr);
+}
+
+FrameDecode decode_frame(SharedBytes frame, Datagram& out, std::size_t max_bytes) {
+  return decode(frame.bytes, out, max_bytes, std::move(frame.owner));
+}
+
+std::optional<std::size_t> declared_frame_size(std::span<const std::byte> head) {
+  ByteBuffer in = ByteBuffer::reader(head);
+  try {
+    if (in.unpack_u32() != kFrameMagic) return std::nullopt;
+    (void)in.unpack_u64();  // from, to
+    (void)in.unpack_u32();  // flags
+    const std::size_t service = in.unpack_span().size();
+    (void)in.unpack_uid();  // request
+    return kFrameFixedBytes + service + in.unpack_u32();
+  } catch (const BufferUnderflow&) {
+    return std::nullopt;
+  }
 }
 
 // -- fragmentation ------------------------------------------------------------
@@ -76,11 +152,12 @@ std::vector<std::byte> encode_fragment(const Fragment& f, std::span<const std::b
   out.pack_u32(f.count);
   out.pack_bytes(chunk);
   out.pack_u64(fragment_checksum(f, chunk));
-  return out.data();
+  const auto bytes = out.bytes();
+  return {bytes.begin(), bytes.end()};
 }
 
 FrameDecode decode_fragment(std::span<const std::byte> bytes, Fragment& out,
-                            std::vector<std::byte>& chunk) {
+                            std::span<const std::byte>& chunk) {
   if (bytes.size() > kMaxFrameBytes) return FrameDecode::Malformed;
   ByteBuffer in = ByteBuffer::reader(bytes);
   std::uint64_t claimed = 0;
@@ -93,7 +170,7 @@ FrameDecode decode_fragment(std::span<const std::byte> bytes, Fragment& out,
     out.message = Uid(hi, lo);
     out.index = in.unpack_u32();
     out.count = in.unpack_u32();
-    chunk = in.unpack_bytes();
+    chunk = in.unpack_span();
     claimed = in.unpack_u64();
   } catch (const BufferUnderflow&) {
     return FrameDecode::Malformed;
@@ -104,25 +181,26 @@ FrameDecode decode_fragment(std::span<const std::byte> bytes, Fragment& out,
                                                   : FrameDecode::ChecksumMismatch;
 }
 
-std::vector<std::vector<std::byte>> fragment_frame(std::span<const std::byte> frame,
-                                                   NodeId from, NodeId to, const Uid& message,
-                                                   std::size_t chunk_bytes) {
-  std::vector<std::vector<std::byte>> out;
-  if (chunk_bytes == 0 || frame.empty()) return out;
-  const std::size_t count = (frame.size() + chunk_bytes - 1) / chunk_bytes;
-  out.reserve(count);
-  Fragment f;
-  f.from = from;
-  f.to = to;
-  f.message = message;
-  f.count = static_cast<std::uint32_t>(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    f.index = static_cast<std::uint32_t>(i);
-    const std::size_t offset = i * chunk_bytes;
-    out.push_back(encode_fragment(f, frame.subspan(offset,
-                                                   std::min(chunk_bytes, frame.size() - offset))));
-  }
-  return out;
+std::size_t fragment_count(std::size_t frame_bytes) {
+  return (frame_bytes + kFragmentChunkBytes - 1) / kFragmentChunkBytes;
+}
+
+FragmentGather gather_fragment(const Fragment& f, std::span<const std::byte> frame) {
+  const std::size_t offset = f.index * kFragmentChunkBytes;
+  FragmentGather g;
+  g.chunk = frame.subspan(offset, std::min(kFragmentChunkBytes, frame.size() - offset));
+  Writer header{g.header.data()};
+  header.u32(kFragmentMagic);
+  header.u32(f.from);
+  header.u32(f.to);
+  header.u64(f.message.hi());
+  header.u64(f.message.lo());
+  header.u32(f.index);
+  header.u32(f.count);
+  header.u32(static_cast<std::uint32_t>(g.chunk.size()));
+  Writer trailer{g.trailer.data()};
+  trailer.u64(fragment_checksum(f, g.chunk));
+  return g;
 }
 
 }  // namespace mca::net

@@ -11,14 +11,13 @@
 // Receive is batched: a readable socket is drained with recvmmsg() into a
 // preallocated buffer array, up to kRxBatch datagrams per syscall, and the
 // whole batch is handed to the fd's handler in one call — under load the
-// per-datagram syscall cost amortizes away, which is where the reactor's
-// throughput win over the thread-per-id design comes from (bench_net_cluster
-// reports the measured batch sizes). Level-triggered epoll plus a per-fd
+// per-datagram syscall cost amortizes away (bench_net_cluster and ctl.stats
+// report the measured batch sizes). Level-triggered epoll plus a per-fd
 // drain cap keeps one busy socket from starving the rest.
 //
-// Handlers run on the reactor thread and must not block (the same contract
-// the per-id receive threads had); decode and dispatch are cheap, and the
-// RPC layer above hands real work to its executor. remove() is a barrier:
+// Handlers run on the reactor thread and must not block; decode and
+// dispatch are cheap, and the RPC layer above hands real work to its
+// executor. remove() is a barrier:
 // it returns only when no handler for that fd is in flight and none will run
 // again, so the owner can safely close the fd and destroy handler state —
 // the same quiesce contract as TimerService::cancel_owner. Calling remove()

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,7 +11,6 @@
 #include <stdexcept>
 #include <system_error>
 
-#include "common/thread_name.h"
 #include "common/timer_service.h"
 
 namespace mca {
@@ -51,11 +49,9 @@ UdpTransport::UdpTransport(UdpTransportConfig config)
     : config_(std::move(config)),
       rng_state_(config_.seed | 1),
       loss_probability_(config_.loss_probability),
-      reassembler_(config_.reassembly) {
+      reassembler_(config_.reassembly, pool_),
+      reactor_(std::make_unique<net::Reactor>(net::kMaxFrameBytes)) {
   sender_fd_ = open_udp_socket(config_.max_message_bytes);
-  if (config_.rx_mode == RxMode::Reactor) {
-    reactor_ = std::make_unique<net::Reactor>(config_.max_frame_bytes);
-  }
   if (config_.timers != nullptr) {
     config_.timers->schedule_every(
         config_.sweep_interval,
@@ -132,25 +128,20 @@ void UdpTransport::attach(NodeId id, Handler handler) {
       }
     }
 
-    if (config_.rx_mode == RxMode::ThreadPerId) {
-      ref->rx = std::thread([this, ref] { receive_loop(*ref); });
-    }
     locals_.emplace(id, std::move(local));
   }
 
-  if (config_.rx_mode == RxMode::Reactor) {
-    // Outside mutex_: the reactor may start dispatching to process_wire_bytes
-    // (which takes mutex_) as soon as the fd is registered.
-    try {
-      reactor_->add(ref->fd, [this, ref](std::span<const std::span<const std::byte>> batch) {
-        for (const auto& datagram : batch) process_wire_bytes(*ref, datagram);
-      });
-    } catch (...) {
-      const std::lock_guard lock(mutex_);
-      ::close(ref->fd);
-      locals_.erase(id);
-      throw;
-    }
+  // Outside mutex_: the reactor may start dispatching to process_wire_bytes
+  // (which takes mutex_) as soon as the fd is registered.
+  try {
+    reactor_->add(ref->fd, [this, ref](std::span<const std::span<const std::byte>> batch) {
+      for (const auto& datagram : batch) process_wire_bytes(*ref, datagram);
+    });
+  } catch (...) {
+    const std::lock_guard lock(mutex_);
+    ::close(ref->fd);
+    locals_.erase(id);
+    throw;
   }
 }
 
@@ -163,36 +154,14 @@ void UdpTransport::detach(NodeId id) {
     local = std::move(it->second);
     locals_.erase(it);
   }
-  if (reactor_) {
-    // Quiesce barrier: returns only when no handler call for this fd is in
-    // flight, so closing the fd and destroying `local` is safe.
-    reactor_->remove(local->fd);
-  }
-  local->stopping.store(true);
-  if (local->rx.joinable()) local->rx.join();
+  // Quiesce barrier: returns only when no handler call for this fd is in
+  // flight, so closing the fd and destroying `local` is safe.
+  reactor_->remove(local->fd);
   if (local->fd >= 0) ::close(local->fd);
 }
 
-void UdpTransport::receive_loop(Local& local) {
-  set_current_thread_name("mca-udp-" + std::to_string(local.id));
-  // One spare byte past the cap distinguishes "exactly at the limit" from
-  // "truncated oversize" without MSG_TRUNC portability games.
-  std::vector<std::byte> buffer(config_.max_frame_bytes + 1);
-  const int timeout_ms = static_cast<int>(config_.poll_interval.count());
-
-  while (!local.stopping.load()) {
-    pollfd pfd{local.fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check stopping
-
-    const ssize_t n = ::recv(local.fd, buffer.data(), buffer.size(), 0);
-    if (n <= 0) continue;
-    process_wire_bytes(local, std::span(buffer.data(), static_cast<std::size_t>(n)));
-  }
-}
-
 void UdpTransport::process_wire_bytes(Local& local, std::span<const std::byte> bytes) {
-  if (bytes.size() > config_.max_frame_bytes) {
+  if (bytes.size() > net::kMaxFrameBytes) {
     const std::lock_guard lock(mutex_);
     ++stats_.oversize_dropped;
     return;
@@ -200,9 +169,9 @@ void UdpTransport::process_wire_bytes(Local& local, std::span<const std::byte> b
 
   if (net::is_fragment_frame(bytes)) {
     net::Fragment f;
-    std::vector<std::byte> chunk;
+    std::span<const std::byte> chunk;
     const auto verdict = net::decode_fragment(bytes, f, chunk);
-    std::optional<std::vector<std::byte>> completed;
+    std::optional<SharedBytes> completed;
     {
       const std::lock_guard lock(mutex_);
       if (verdict == net::FrameDecode::Malformed) {
@@ -226,24 +195,24 @@ void UdpTransport::process_wire_bytes(Local& local, std::span<const std::byte> b
         return;
       }
       ++stats_.fragments_received;
-      completed = reassembler_.add(f, std::move(chunk), net::Reassembler::Clock::now());
+      completed = reassembler_.add(f, chunk, net::Reassembler::Clock::now());
     }
     if (completed) {
       // The reassembled frame may legitimately exceed the datagram cap; the
-      // message cap bounds it instead.
-      deliver_frame(local, *completed, config_.max_message_bytes);
+      // message cap bounds it instead. Its payload stays in the block.
+      Datagram d;
+      const auto decoded = net::decode_frame(std::move(*completed), d, config_.max_message_bytes);
+      deliver(local, std::move(d), decoded);
     }
     return;
   }
 
-  deliver_frame(local, bytes, config_.max_frame_bytes);
+  Datagram d;
+  const auto decoded = net::decode_frame(bytes, d);
+  deliver(local, std::move(d), decoded);
 }
 
-void UdpTransport::deliver_frame(Local& local, std::span<const std::byte> frame_bytes,
-                                 std::size_t max_bytes) {
-  Datagram d;
-  const auto verdict = net::decode_frame(frame_bytes, d, max_bytes);
-
+void UdpTransport::deliver(Local& local, Datagram d, net::FrameDecode verdict) {
   Handler* handler = nullptr;
   {
     const std::lock_guard lock(mutex_);
@@ -303,9 +272,8 @@ SendStatus UdpTransport::send(Datagram d) {
     }
   }
 
-  std::vector<std::byte> frame = net::encode_frame(d);
-
-  if (frame.size() <= config_.max_frame_bytes) {
+  const std::size_t frame_bytes = net::frame_size(d);
+  if (frame_bytes <= net::kMaxFrameBytes) {
     {
       const std::lock_guard lock(mutex_);
       if (roll_loss_locked()) {
@@ -313,26 +281,38 @@ SendStatus UdpTransport::send(Datagram d) {
         return SendStatus::Lost;
       }
     }
-    enqueue_tx(std::move(frame), target);
+    TxItem item;
+    item.frame = net::encode_frame(d);
+    item.addr_ip = target.sin_addr.s_addr;
+    item.addr_port = target.sin_port;
+    enqueue_tx({&item, 1});
     return SendStatus::Accepted;
   }
 
   // Too big for one datagram: fragment, unless fragmentation is off or the
   // message busts the message cap too.
-  if (config_.max_message_bytes <= config_.max_frame_bytes ||
-      frame.size() > config_.max_message_bytes) {
+  if (config_.max_message_bytes <= net::kMaxFrameBytes ||
+      frame_bytes > config_.max_message_bytes) {
     const std::lock_guard lock(mutex_);
     ++stats_.oversize_refused;
     return SendStatus::Oversize;
   }
 
-  const Uid message;  // fresh: unique per (sender process, message)
-  auto fragments = net::fragment_frame(frame, d.from, d.to, message);
+  // One encoded frame; every fragment is its header and trailer around a
+  // slice of it.
+  const SharedBytes frame = net::encode_frame(d, pool_);
+  net::Fragment f;
+  f.from = d.from;
+  f.to = d.to;
+  f.message = Uid();  // fresh: unique per (sender process, message)
+  f.count = static_cast<std::uint32_t>(net::fragment_count(frame.bytes.size()));
   {
     const std::lock_guard lock(mutex_);
     ++stats_.messages_fragmented;
   }
-  for (auto& fragment : fragments) {
+  std::vector<TxItem> fragments;
+  fragments.reserve(f.count);
+  for (f.index = 0; f.index < f.count; ++f.index) {
     {
       const std::lock_guard lock(mutex_);
       if (roll_loss_locked()) {
@@ -343,20 +323,21 @@ SendStatus UdpTransport::send(Datagram d) {
       }
       ++stats_.fragments_sent;
     }
-    enqueue_tx(std::move(fragment), target);
+    TxItem& item = fragments.emplace_back();
+    item.block = frame.owner;
+    item.fragment = net::gather_fragment(f, frame.bytes);
+    item.addr_ip = target.sin_addr.s_addr;
+    item.addr_port = target.sin_port;
   }
+  enqueue_tx(fragments);
   return SendStatus::Accepted;
 }
 
-void UdpTransport::enqueue_tx(std::vector<std::byte> bytes, const sockaddr_in& target) {
-  TxItem item;
-  item.bytes = std::move(bytes);
-  item.addr_ip = target.sin_addr.s_addr;
-  item.addr_port = target.sin_port;
+void UdpTransport::enqueue_tx(std::span<TxItem> items) {
   {
     const std::lock_guard lock(tx_mutex_);
-    tx_queue_.push_back(std::move(item));
-    if (tx_flushing_) return;  // the current flusher will pick this up
+    for (TxItem& item : items) tx_queue_.push_back(std::move(item));
+    if (tx_flushing_) return;  // the current flusher will pick these up
     tx_flushing_ = true;
   }
   flush_tx();
@@ -368,7 +349,7 @@ void UdpTransport::flush_tx() {
   // tx_mutex_ is never held across the syscall.
   std::vector<TxItem> batch;
   std::array<mmsghdr, kTxBatch> msgs;
-  std::array<iovec, kTxBatch> iovecs;
+  std::array<iovec, 3 * kTxBatch> iovecs;  // a fragment gathers three pieces
   std::array<sockaddr_in, kTxBatch> addrs;
 
   for (;;) {
@@ -388,16 +369,26 @@ void UdpTransport::flush_tx() {
 
     const std::size_t n = batch.size();
     for (std::size_t i = 0; i < n; ++i) {
+      TxItem& item = batch[i];
       std::memset(&addrs[i], 0, sizeof addrs[i]);
       addrs[i].sin_family = AF_INET;
-      addrs[i].sin_addr.s_addr = batch[i].addr_ip;
-      addrs[i].sin_port = batch[i].addr_port;
-      iovecs[i] = {batch[i].bytes.data(), batch[i].bytes.size()};
+      addrs[i].sin_addr.s_addr = item.addr_ip;
+      addrs[i].sin_port = item.addr_port;
+      iovec* iov = &iovecs[3 * i];
+      std::size_t pieces = 0;
+      if (item.block == nullptr) {
+        iov[pieces++] = {item.frame.data(), item.frame.size()};
+      } else {
+        net::FragmentGather& g = item.fragment;
+        iov[pieces++] = {g.header.data(), g.header.size()};
+        iov[pieces++] = {const_cast<std::byte*>(g.chunk.data()), g.chunk.size()};
+        iov[pieces++] = {g.trailer.data(), g.trailer.size()};
+      }
       msgs[i] = mmsghdr{};
       msgs[i].msg_hdr.msg_name = &addrs[i];
       msgs[i].msg_hdr.msg_namelen = sizeof addrs[i];
-      msgs[i].msg_hdr.msg_iov = &iovecs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
+      msgs[i].msg_hdr.msg_iov = iov;
+      msgs[i].msg_hdr.msg_iovlen = pieces;
     }
 
     std::size_t off = 0;
@@ -462,9 +453,7 @@ UdpTransport::Stats UdpTransport::stats() const {
   return s;
 }
 
-net::Reactor::Stats UdpTransport::reactor_stats() const {
-  return reactor_ ? reactor_->stats() : net::Reactor::Stats{};
-}
+net::Reactor::Stats UdpTransport::reactor_stats() const { return reactor_->stats(); }
 
 std::uint16_t UdpTransport::port_of(NodeId id) const {
   const std::lock_guard lock(mutex_);

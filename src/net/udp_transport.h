@@ -10,9 +10,7 @@
 // and handed to the attached handler on the reactor thread — the same
 // contract (and the same corruption-becomes-loss behaviour) as the
 // simulated Network, so RpcEndpoint's retransmission, backoff and per-peer
-// suspicion run unchanged on top. The pre-reactor one-poll-thread-per-id
-// design survives as RxMode::ThreadPerId, kept as the A/B baseline for
-// bench_net_cluster.
+// suspicion run unchanged on top. The reactor is the only receive path.
 //
 // UDP is the right fit for the paper's model: the communication layer is
 // *expected* to lose, duplicate and reorder; reliability lives in the RPC
@@ -22,13 +20,25 @@
 // send() returns a SendStatus instead of swallowing failures: Down /
 // Partitioned / Lost / NoRoute are transient (retransmission's business),
 // Oversize is permanent and lets the RPC layer fail the call fast instead
-// of timing it out. Messages too big for one datagram are sliced into MUF2
-// fragment frames (net/frame.h) up to max_message_bytes; the receive side
-// reassembles them (net/reassembly.h) with bounded memory and a
-// TimerService-driven expiry sweep. Outbound frames are queued and drained
-// by whichever sender thread holds the flush token, batching concurrent
-// sends into sendmmsg() calls — the group-commit idiom from the WAL,
-// applied to the socket.
+// of timing it out. Messages too big for one datagram (net::kMaxFrameBytes)
+// are sliced into MUF2 fragment frames (net/frame.h) up to
+// max_message_bytes; the receive side reassembles them (net/reassembly.h)
+// with bounded memory and a TimerService-driven expiry sweep. Outbound
+// frames are queued and drained by whichever sender thread holds the flush
+// token, batching concurrent sends into sendmmsg() calls — the group-commit
+// idiom from the WAL, applied to the socket.
+//
+// One buffer per large message, each way. send() encodes a message that
+// needs fragments once, into a block from the transport's BufferPool, and
+// queues each fragment as three iovecs — its header, its slice of that
+// block, its trailer — so the block is the only copy of the payload the
+// sender makes. On receipt each fragment is checked where recvmmsg put it
+// and its chunk copied once into the message's block (net::Reassembler);
+// the delivered Datagram's payload is a window on that block, which goes
+// back to the pool when the last window on it is gone. The pool keeps a few
+// blocks of up to 512 KiB (BufferPool::kMaxBlocks, kMaxBlockBytes), so a
+// steady stream of ~100 KB messages stops handing blocks back to the
+// allocator on every call.
 //
 // Fault injection for the chaos harness and benches:
 //   set_peer_drop(peer)     socket-layer partition — frames to and from
@@ -46,7 +56,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -66,23 +75,16 @@ struct UdpAddress {
   std::uint16_t port = 0;
 };
 
-enum class RxMode {
-  Reactor,      // one epoll thread for every attached id (default)
-  ThreadPerId,  // legacy poll()-thread per attached id (bench baseline)
-};
-
 struct UdpTransportConfig {
   // Every node of the deployment, local and remote. attach() binds the
   // address of its id; send() resolves the target's.
   std::unordered_map<NodeId, UdpAddress> peers;
-  std::size_t max_frame_bytes = net::kMaxFrameBytes;
-  // Ceiling on one *message*. Messages above max_frame_bytes and at most
-  // this are fragmented into MUF2 frames; larger ones are refused with
-  // SendStatus::Oversize. Setting this <= max_frame_bytes disables
+  // Ceiling on one *message*. Messages above net::kMaxFrameBytes and at
+  // most this are fragmented into MUF2 frames; larger ones are refused with
+  // SendStatus::Oversize. Setting this <= net::kMaxFrameBytes disables
   // fragmentation entirely (every oversize message is refused).
   std::size_t max_message_bytes = 8 * 1024 * 1024;
   net::ReassemblyConfig reassembly;
-  RxMode rx_mode = RxMode::Reactor;
   // Optional: drives the periodic reassembly expiry sweep. Without it,
   // incomplete messages still age out, but only lazily (evicted by the
   // memory bound when fresh fragments arrive).
@@ -91,9 +93,6 @@ struct UdpTransportConfig {
   // Injected send-side loss (bench/chaos); decided by a seeded RNG.
   double loss_probability = 0.0;
   std::uint64_t seed = 42;
-  // ThreadPerId only — receive-poll granularity: how quickly detach() can
-  // stop a receive thread sitting in poll() with no traffic.
-  std::chrono::milliseconds poll_interval{50};
 };
 
 class UdpTransport final : public Transport {
@@ -104,8 +103,8 @@ class UdpTransport final : public Transport {
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  // Binds the socket configured for `id` and registers it for receive
-  // (reactor fd or legacy thread, per rx_mode). Throws std::system_error
+  // Binds the socket configured for `id` and registers it with the reactor
+  // for receive. Throws std::system_error
   // when the bind fails (port taken, no address) and std::invalid_argument
   // for an id absent from the peer map.
   void attach(NodeId id, Handler handler) override;
@@ -131,7 +130,7 @@ class UdpTransport final : public Transport {
     std::uint64_t lost_injected = 0;     // send-side injected loss (per datagram)
     std::uint64_t dropped_partitioned = 0;  // peer-drop filter (both directions)
     std::uint64_t dropped_down = 0;      // local node down / not attached
-    std::uint64_t oversize_dropped = 0;  // rx datagram larger than max_frame_bytes
+    std::uint64_t oversize_dropped = 0;  // rx datagram larger than net::kMaxFrameBytes
     std::uint64_t oversize_refused = 0;  // send refused: message > max_message_bytes
     std::uint64_t corrupt_dropped = 0;   // digest mismatch at receive
     std::uint64_t malformed_dropped = 0; // undecodable bytes at receive
@@ -153,7 +152,7 @@ class UdpTransport final : public Transport {
   };
   [[nodiscard]] Stats stats() const;
 
-  // Reactor-thread receive counters; all zero under RxMode::ThreadPerId.
+  // Reactor-thread receive counters.
   [[nodiscard]] net::Reactor::Stats reactor_stats() const;
 
   // The port `id` is configured on (what the cluster launcher prints).
@@ -165,24 +164,25 @@ class UdpTransport final : public Transport {
     int fd = -1;
     Handler handler;
     std::atomic<bool> up{true};
-    std::atomic<bool> stopping{false};  // ThreadPerId only
-    std::thread rx;                     // ThreadPerId only
   };
 
+  // One outbound datagram: a whole frame of its own, or a fragment — its
+  // header and trailer around a slice of a frame block that `block` keeps
+  // alive.
   struct TxItem {
-    std::vector<std::byte> bytes;
+    std::vector<std::byte> frame;
+    std::shared_ptr<void> block;
+    net::FragmentGather fragment;
     std::uint32_t addr_ip = 0;    // network byte order
     std::uint16_t addr_port = 0;  // network byte order
   };
 
-  void receive_loop(Local& local);  // ThreadPerId only
-  // Shared rx path (both modes): route MUF1/MUF2, filter, dispatch.
+  // The receive path: route MUF1/MUF2, filter, dispatch.
   void process_wire_bytes(Local& local, std::span<const std::byte> bytes);
-  void deliver_frame(Local& local, std::span<const std::byte> frame_bytes,
-                     std::size_t max_bytes);
+  void deliver(Local& local, Datagram d, net::FrameDecode verdict);
   [[nodiscard]] bool resolve(NodeId id, ::sockaddr_in& out) const;
   [[nodiscard]] bool roll_loss_locked();
-  void enqueue_tx(std::vector<std::byte> bytes, const ::sockaddr_in& target);
+  void enqueue_tx(std::span<TxItem> items);
   void flush_tx();
 
   UdpTransportConfig config_;
@@ -192,8 +192,9 @@ class UdpTransport final : public Transport {
   std::uint64_t rng_state_;
   double loss_probability_;
   Stats stats_;
+  BufferPool pool_;  // large frame and message blocks, send and receive
   net::Reassembler reassembler_;
-  std::unique_ptr<net::Reactor> reactor_;  // null under ThreadPerId
+  std::unique_ptr<net::Reactor> reactor_;
 
   std::mutex tx_mutex_;  // tx_queue_, tx_flushing_; never held across a syscall
   std::deque<TxItem> tx_queue_;

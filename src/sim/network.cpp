@@ -92,9 +92,11 @@ SendStatus Network::send(Datagram d) {
     if (coin(rng_) < config_.corruption_probability) {
       // Flip one payload byte after stamping the checksum — the digest no
       // longer matches and delivery drops the message. An empty payload
-      // corrupts the header instead (same effect).
+      // corrupts the header instead (same effect). The flip lands in a copy:
+      // the payload may be a window the sender still holds.
       ++stats_.corrupted;
-      std::vector<std::byte> bytes = d.payload.data();
+      const auto payload = d.payload.bytes();
+      std::vector<std::byte> bytes(payload.begin(), payload.end());
       if (bytes.empty()) {
         d.is_reply = !d.is_reply;
       } else {

@@ -115,7 +115,7 @@ void FileStore::write_atomically(const fs::path& path, const ObjectState& state,
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     const auto encoded = state.encode();
-    out.write(reinterpret_cast<const char*>(encoded.data().data()),
+    out.write(reinterpret_cast<const char*>(encoded.bytes().data()),
               static_cast<std::streamsize>(encoded.size()));
     out.flush();
     if (!out) throw std::runtime_error("FileStore: failed writing " + tmp.string());

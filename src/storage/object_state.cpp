@@ -15,7 +15,7 @@ ByteBuffer ObjectState::encode_unchecked() const {
   ByteBuffer body;
   body.pack_uid(uid_);
   body.pack_string(type_name_);
-  body.pack_bytes(state_.data());
+  body.pack_bytes(state_.bytes());
   return body;
 }
 
@@ -23,8 +23,8 @@ ByteBuffer ObjectState::encode() const {
   const ByteBuffer body = encode_unchecked();
   ByteBuffer out;
   out.pack_u32(kMagic);
-  out.pack_u32(crc32(body.data()));
-  out.pack_bytes(body.data());
+  out.pack_u32(crc32(body.bytes()));
+  out.pack_bytes(body.bytes());
   return out;
 }
 
@@ -44,7 +44,7 @@ ObjectState ObjectState::decode(ByteBuffer& in) {
   // Truncation inside the length-prefixed body surfaces as BufferUnderflow
   // here; any surviving damage is caught by the CRC before a field is read.
   ByteBuffer body(in.unpack_bytes());
-  if (crc32(body.data()) != expected_crc) {
+  if (crc32(body.bytes()) != expected_crc) {
     throw StateCorrupt("CRC-32 mismatch (bit flip or torn write)");
   }
   return decode_unchecked(body);

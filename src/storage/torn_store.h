@@ -120,7 +120,7 @@ class TornStore final : public ObjectStore {
                         std::size_t keep_bytes) {
     const std::size_t n = std::min(keep_bytes, encoded.size());
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(encoded.data().data()),
+    out.write(reinterpret_cast<const char*>(encoded.bytes().data()),
               static_cast<std::streamsize>(n));
   }
 

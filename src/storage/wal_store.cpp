@@ -89,7 +89,7 @@ void frame_record(std::vector<std::byte>& out, Op op, const ObjectState* state, 
   frame.pack_u32(kRecordMagic);
   frame.pack_u32(crc32(body.bytes()));
   frame.pack_bytes(body.bytes());
-  const auto& raw = frame.data();
+  const auto raw = frame.bytes();
   out.insert(out.end(), raw.begin(), raw.end());
 }
 
@@ -544,7 +544,7 @@ void WalStore::checkpoint_locked(std::unique_lock<std::mutex>& lock) {
   const fs::path tmp = checkpoint_tmp_path();
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    const auto& raw = file.data();
+    const auto raw = file.bytes();
     const auto* chars = reinterpret_cast<const char*>(raw.data());
     if (crash_points::any_armed()) {
       const std::size_t head = raw.size() / 2;

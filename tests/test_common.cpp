@@ -133,6 +133,107 @@ TEST(ByteBuffer, RewindAllowsRereading) {
   EXPECT_EQ(b.unpack_u32(), 99u);
 }
 
+TEST(ByteBuffer, ShareMovesTheBytesIntoAWindowCopiesShare) {
+  ByteBuffer owned;
+  owned.pack_string("shared once");
+  const std::byte* storage = owned.bytes().data();
+  ByteBuffer window = std::move(owned).share();
+  EXPECT_EQ(window.bytes().data(), storage);  // moved, not copied
+
+  ByteBuffer copy = window;  // a handle, not the bytes
+  EXPECT_EQ(copy.bytes().data(), storage);
+  EXPECT_EQ(copy.unpack_string(), "shared once");
+  EXPECT_EQ(window.unpack_string(), "shared once");  // cursors are per copy
+  EXPECT_THROW(copy.pack_u8(1), std::logic_error);
+
+  // A view's bytes belong to someone else, so sharing one copies them once.
+  ByteBuffer view = ByteBuffer::reader(window);
+  const ByteBuffer from_view = std::move(view).share();
+  EXPECT_NE(from_view.bytes().data(), storage);
+  EXPECT_TRUE(from_view == window);
+}
+
+TEST(ByteBuffer, SlicesShareWhatTheirBufferShares) {
+  ByteBuffer packed;
+  packed.pack_bytes(std::vector<std::byte>(64, std::byte{0x11}));
+  packed.pack_u8(7);
+
+  // From a window: a window on the same bytes, which outlives the original.
+  ByteBuffer slice;
+  const std::byte* inside = nullptr;
+  {
+    ByteBuffer window = ByteBuffer(packed).share();
+    inside = window.bytes().data() + sizeof(std::uint32_t);
+    slice = window.unpack_slice();
+    EXPECT_EQ(window.unpack_u8(), 7u);
+  }
+  EXPECT_EQ(slice.bytes().data(), inside);
+  EXPECT_EQ(slice.size(), 64u);
+  EXPECT_THROW(slice.pack_u8(1), std::logic_error);
+
+  // From a view: a view; from an owning buffer: a copy.
+  ByteBuffer view = ByteBuffer::reader(packed);
+  EXPECT_EQ(view.unpack_slice().bytes().data(), packed.bytes().data() + sizeof(std::uint32_t));
+  ByteBuffer owner = packed;
+  ByteBuffer copy = owner.unpack_slice();
+  EXPECT_NE(copy.bytes().data(), owner.bytes().data() + sizeof(std::uint32_t));
+  EXPECT_EQ(copy.size(), 64u);
+  copy.pack_u8(1);  // an owning buffer still packs
+}
+
+TEST(BufferPool, ReturnedBlocksAreReusedUpToTheCap) {
+  const BufferPool pool;
+  std::byte* first = nullptr;
+  {
+    SharedBytes a = pool.acquire(10'000);
+    first = a.bytes.data();
+    EXPECT_EQ(a.bytes.size(), 10'000u);
+    EXPECT_EQ(pool.kept(), 0u);
+  }
+  EXPECT_EQ(pool.kept(), 1u);
+  {
+    // A smaller request reuses the kept block (it fits); a larger one cannot.
+    SharedBytes b = pool.acquire(9'000);
+    EXPECT_EQ(b.bytes.data(), first);
+    EXPECT_EQ(b.bytes.size(), 9'000u);
+    SharedBytes c = pool.acquire(20'000);
+    EXPECT_NE(c.bytes.data(), first);
+    EXPECT_EQ(pool.kept(), 0u);
+  }
+  EXPECT_EQ(pool.kept(), 2u);
+  {
+    // Nine blocks out at once (the two kept ones among them) come back to a
+    // list of eight: one goes to the allocator.
+    std::vector<SharedBytes> out;
+    for (std::size_t i = 0; i <= BufferPool::kMaxBlocks; ++i) out.push_back(pool.acquire(4'000));
+    EXPECT_EQ(pool.kept(), 0u);
+  }
+  EXPECT_EQ(pool.kept(), BufferPool::kMaxBlocks);
+}
+
+TEST(BufferPool, OversizeBlocksGoBackToTheAllocator) {
+  // A block over kMaxBlockBytes serves its one message and is freed, so
+  // peers sending huge messages cannot make a pool hold on to them.
+  const BufferPool pool;
+  { const SharedBytes big = pool.acquire(BufferPool::kMaxBlockBytes + 1); }
+  EXPECT_EQ(pool.kept(), 0u);
+  { const SharedBytes largest = pool.acquire(BufferPool::kMaxBlockBytes); }
+  EXPECT_EQ(pool.kept(), 1u);
+}
+
+TEST(BufferPool, BlocksOutliveThePool) {
+  SharedBytes block;
+  {
+    const BufferPool pool;
+    block = pool.acquire(1'000);
+  }
+  std::fill(block.bytes.begin(), block.bytes.end(), std::byte{0x42});
+  ByteBuffer window = ByteBuffer::window(block.owner, block.bytes);
+  block = {};
+  EXPECT_EQ(window.size(), 1'000u);
+  EXPECT_EQ(window.unpack_u8(), 0x42u);
+}
+
 // --- wire decoder hardening --------------------------------------------------
 // The u32 element counts in wire frames come off the (simulated) network, so
 // they are corruption- and attacker-controlled. A count no remaining bytes
@@ -196,12 +297,12 @@ TEST(Wire, TruncatedHeirsFrameAlwaysThrowsNeverHangs) {
   wire::pack_heirs(full, heirs);
 
   for (std::size_t len = 0; len < full.size(); ++len) {
-    ByteBuffer cut(std::vector<std::byte>(full.data().begin(),
-                                          full.data().begin() + static_cast<std::ptrdiff_t>(len)));
+    ByteBuffer cut(std::vector<std::byte>(full.bytes().begin(),
+                                          full.bytes().begin() + static_cast<std::ptrdiff_t>(len)));
     EXPECT_THROW((void)wire::unpack_heirs(cut), BufferUnderflow) << "prefix length " << len;
   }
   // And the untruncated frame still parses.
-  ByteBuffer whole(full.data());
+  ByteBuffer whole = ByteBuffer::reader(full);
   EXPECT_EQ(wire::unpack_heirs(whole).size(), 2u);
 }
 

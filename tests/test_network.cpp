@@ -2,6 +2,7 @@
 // duplication, at-most-once execution, crash behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -171,6 +172,28 @@ TEST(Rpc, UnknownServiceIsAppError) {
   RpcResult r = client.call(1, "nope", {});
   EXPECT_EQ(r.status, RpcStatus::AppError);
   EXPECT_NE(r.error.find("no such service"), std::string::npos);
+}
+
+TEST(Rpc, MalformedReplyCompletesAsAppError) {
+  // A reply whose frame checks out but whose payload does not parse used to
+  // throw BufferUnderflow out of the delivery thread, which ended the
+  // process. Node 1 is a raw handler that answers every request under its
+  // id: first with an empty payload, then with a status byte no endpoint
+  // sends.
+  Network net(fast_config());
+  std::atomic<int> answered{0};
+  net.attach(1, [&](Datagram request) {
+    Datagram reply{1, request.from, request.service, request.request_id, /*is_reply=*/true, {}};
+    if (answered++ > 0) reply.payload.pack_u8(9);
+    net.send(std::move(reply));
+  });
+  RpcEndpoint client(net, 2);
+  for (int i = 0; i < 2; ++i) {
+    const RpcResult r = client.call(1, "anything", {}, CallOptions{std::chrono::seconds(5)});
+    EXPECT_EQ(r.status, RpcStatus::AppError) << "reply " << i;
+    EXPECT_EQ(r.error, "malformed reply") << "reply " << i;
+  }
+  EXPECT_EQ(answered.load(), 2);
 }
 
 TEST(Rpc, ServiceExceptionPropagatesAsAppError) {
@@ -603,20 +626,20 @@ TEST(Fragment, RoundTripsThroughEncodeDecode) {
   EXPECT_FALSE(net::is_fragment_frame(net::encode_frame(golden_datagram())));
 
   net::Fragment out;
-  std::vector<std::byte> out_chunk;
+  std::span<const std::byte> out_chunk;
   ASSERT_EQ(net::decode_fragment(bytes, out, out_chunk), net::FrameDecode::Ok);
   EXPECT_EQ(out.from, f.from);
   EXPECT_EQ(out.to, f.to);
   EXPECT_EQ(out.message, f.message);
   EXPECT_EQ(out.index, f.index);
   EXPECT_EQ(out.count, f.count);
-  EXPECT_EQ(out_chunk, chunk);
+  EXPECT_TRUE(std::ranges::equal(out_chunk, chunk));
 }
 
 TEST(Fragment, DetectsCorruptionAndMalformation) {
   std::vector<std::byte> bytes = net::encode_fragment(golden_fragment(), bytes_of("frag"));
   net::Fragment out;
-  std::vector<std::byte> chunk;
+  std::span<const std::byte> chunk;
 
   std::vector<std::byte> corrupt = bytes;
   corrupt[40] ^= std::byte{0x01};  // inside the chunk
@@ -638,38 +661,84 @@ TEST(Fragment, DetectsCorruptionAndMalformation) {
             net::FrameDecode::Malformed);
 }
 
-TEST(Fragment, SlicesAndReassemblesAWholeFrame) {
-  // A frame bigger than the chunk size splits into ceil(n / chunk) fragments
-  // that concatenate back to the original bytes, in index order.
+// One gathered fragment as the wire carries it: header, chunk, trailer.
+std::vector<std::byte> wire_bytes(const net::FragmentGather& g) {
+  std::vector<std::byte> out(g.header.begin(), g.header.end());
+  out.insert(out.end(), g.chunk.begin(), g.chunk.end());
+  out.insert(out.end(), g.trailer.begin(), g.trailer.end());
+  return out;
+}
+
+Datagram blob_datagram(std::size_t bytes) {
   Datagram d = golden_datagram();
-  std::vector<std::byte> blob(10'000);
+  std::vector<std::byte> blob(bytes);
   for (std::size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<std::byte>(i * 31 + 7);
   d.payload = ByteBuffer(std::move(blob));
+  return d;
+}
+
+TEST(Fragment, SlicesAndReassemblesAWholeFrame) {
+  // A frame bigger than the chunk size splits into ceil(n / chunk) fragments
+  // that reassemble back to the original bytes, in index order.
+  const Datagram d = blob_datagram(150'000);
   const std::vector<std::byte> frame = net::encode_frame(d);
 
-  const Uid message;
-  const auto fragments = net::fragment_frame(frame, d.from, d.to, message, 1'024);
-  ASSERT_EQ(fragments.size(), (frame.size() + 1'023) / 1'024);
+  net::Fragment f;
+  f.from = d.from;
+  f.to = d.to;
+  f.message = Uid();
+  f.count = static_cast<std::uint32_t>(net::fragment_count(frame.size()));
+  ASSERT_EQ(f.count, (frame.size() + net::kFragmentChunkBytes - 1) / net::kFragmentChunkBytes);
 
   net::Reassembler reasm;
   const auto now = net::Reassembler::Clock::now();
-  std::optional<std::vector<std::byte>> completed;
-  for (const auto& wire : fragments) {
-    net::Fragment f;
-    std::vector<std::byte> chunk;
-    ASSERT_EQ(net::decode_fragment(wire, f, chunk), net::FrameDecode::Ok);
+  std::optional<SharedBytes> completed;
+  for (f.index = 0; f.index < f.count; ++f.index) {
+    const std::vector<std::byte> wire = wire_bytes(net::gather_fragment(f, frame));
+    net::Fragment got;
+    std::span<const std::byte> chunk;
+    ASSERT_EQ(net::decode_fragment(wire, got, chunk), net::FrameDecode::Ok);
     EXPECT_FALSE(completed.has_value());
-    completed = reasm.add(f, std::move(chunk), now);
+    completed = reasm.add(got, chunk, now);
   }
   ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(*completed, frame);
+  EXPECT_TRUE(std::ranges::equal(completed->bytes, frame));
   EXPECT_EQ(reasm.entries(), 0u);
   EXPECT_EQ(reasm.buffered_bytes(), 0u);
 
-  // The reassembled frame still decodes with the end-to-end digest intact.
+  // The reassembled frame still decodes with the end-to-end digest intact,
+  // and its payload is a window on the reassembly buffer, not a copy.
   Datagram out;
   ASSERT_EQ(net::decode_frame(*completed, out, /*max_bytes=*/1 << 20), net::FrameDecode::Ok);
   EXPECT_EQ(out.payload.size(), d.payload.size());
+  EXPECT_GE(out.payload.bytes().data(), completed->bytes.data());
+  EXPECT_LE(out.payload.bytes().data() + out.payload.size(),
+            completed->bytes.data() + completed->bytes.size());
+}
+
+TEST(Fragment, GatheredPiecesAreTheReferenceEncoding) {
+  // What the socket sends for each fragment — gather_fragment's header, a
+  // slice of the one encoded frame, its trailer — is byte for byte what
+  // encode_fragment produces, and the slices tile the frame in place.
+  const Datagram d = blob_datagram(150'000);
+  const std::vector<std::byte> frame = net::encode_frame(d);
+  ASSERT_EQ(frame.size(), net::frame_size(d));
+  net::Fragment f;
+  f.from = d.from;
+  f.to = d.to;
+  f.message = Uid();
+  f.count = static_cast<std::uint32_t>(net::fragment_count(frame.size()));
+  ASSERT_EQ(f.count, 3u);
+  std::size_t covered = 0;
+  for (f.index = 0; f.index < f.count; ++f.index) {
+    const net::FragmentGather g = net::gather_fragment(f, frame);
+    EXPECT_EQ(g.chunk.data(), frame.data() + covered) << "fragment " << f.index;
+    covered += g.chunk.size();
+    const std::vector<std::byte> wire = wire_bytes(g);
+    EXPECT_EQ(wire, net::encode_fragment(f, g.chunk)) << "fragment " << f.index;
+    EXPECT_LE(wire.size(), net::kMaxFrameBytes);
+  }
+  EXPECT_EQ(covered, frame.size());
 }
 
 // -- reassembly edge cases (net/reassembly.h) ---------------------------------
@@ -684,17 +753,38 @@ net::Fragment frag(NodeId from, const Uid& message, std::uint32_t index, std::ui
   return f;
 }
 
+constexpr std::size_t kChunk = net::kFragmentChunkBytes;
+
+// Chunks land at index × kFragmentChunkBytes, so the tests cut them as every
+// sender does: kChunk bytes of one letter, and a last chunk as short as the
+// test likes.
+std::vector<std::byte> chunk_of(char fill, std::size_t bytes = kChunk) {
+  return std::vector<std::byte>(bytes, static_cast<std::byte>(fill));
+}
+
+// The message `chunks` make, in order.
+std::vector<std::byte> joined(std::initializer_list<std::vector<std::byte>> chunks) {
+  std::vector<std::byte> out;
+  for (const auto& c : chunks) out.insert(out.end(), c.begin(), c.end());
+  return out;
+}
+
+bool holds(const std::optional<SharedBytes>& message, const std::vector<std::byte>& expected) {
+  return message.has_value() && std::ranges::equal(message->bytes, expected);
+}
+
 TEST(Reassembly, DuplicateAndOutOfOrderFragmentsCompleteOnce) {
   net::Reassembler reasm;
   const auto now = net::Reassembler::Clock::now();
   const Uid m;
   // Out of order: 2, 0, duplicate 0, 1 completes.
-  EXPECT_FALSE(reasm.add(frag(5, m, 2, 3), bytes_of("CC"), now).has_value());
-  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), bytes_of("AA"), now).has_value());
-  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), bytes_of("XX"), now).has_value());  // duplicate
-  const auto completed = reasm.add(frag(5, m, 1, 3), bytes_of("BB"), now);
+  EXPECT_FALSE(reasm.add(frag(5, m, 2, 3), chunk_of('C', 2), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), chunk_of('A'), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), chunk_of('X'), now).has_value());  // duplicate
+  const auto completed = reasm.add(frag(5, m, 1, 3), chunk_of('B'), now);
   ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(*completed, bytes_of("AABBCC"));  // first copy of index 0 wins
+  // The first copy of index 0 wins.
+  EXPECT_TRUE(holds(completed, joined({chunk_of('A'), chunk_of('B'), chunk_of('C', 2)})));
   EXPECT_EQ(reasm.stats().duplicates, 1u);
   EXPECT_EQ(reasm.stats().completed, 1u);
 }
@@ -703,13 +793,13 @@ TEST(Reassembly, CountMismatchAndBadShapesAreRejected) {
   net::Reassembler reasm;
   const auto now = net::Reassembler::Clock::now();
   const Uid m;
-  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), bytes_of("AA"), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), chunk_of('A'), now).has_value());
   // The sender cannot change its mind about count mid-message.
-  EXPECT_FALSE(reasm.add(frag(5, m, 1, 4), bytes_of("BB"), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 1, 4), chunk_of('B'), now).has_value());
   EXPECT_EQ(reasm.stats().mismatched, 1u);
   // Impossible shapes never open state.
-  EXPECT_FALSE(reasm.add(frag(5, Uid(), 0, 0), bytes_of("AA"), now).has_value());
-  EXPECT_FALSE(reasm.add(frag(5, Uid(), 7, 3), bytes_of("AA"), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, Uid(), 0, 0), chunk_of('A'), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, Uid(), 7, 3), chunk_of('A'), now).has_value());
   EXPECT_EQ(reasm.entries(), 1u);
 }
 
@@ -719,14 +809,14 @@ TEST(Reassembly, TwoSendersInterleavingTheSameMessageIdNeverMix) {
   net::Reassembler reasm;
   const auto now = net::Reassembler::Clock::now();
   const Uid m;
-  EXPECT_FALSE(reasm.add(frag(5, m, 0, 2), bytes_of("5a"), now).has_value());
-  EXPECT_FALSE(reasm.add(frag(6, m, 0, 2), bytes_of("6a"), now).has_value());
-  const auto five = reasm.add(frag(5, m, 1, 2), bytes_of("5b"), now);
+  EXPECT_FALSE(reasm.add(frag(5, m, 0, 2), chunk_of('A'), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(6, m, 0, 2), chunk_of('C'), now).has_value());
+  const auto five = reasm.add(frag(5, m, 1, 2), chunk_of('B', 2), now);
   ASSERT_TRUE(five.has_value());
-  EXPECT_EQ(*five, bytes_of("5a5b"));
-  const auto six = reasm.add(frag(6, m, 1, 2), bytes_of("6b"), now);
+  EXPECT_TRUE(holds(five, joined({chunk_of('A'), chunk_of('B', 2)})));
+  const auto six = reasm.add(frag(6, m, 1, 2), chunk_of('D', 2), now);
   ASSERT_TRUE(six.has_value());
-  EXPECT_EQ(*six, bytes_of("6a6b"));
+  EXPECT_TRUE(holds(six, joined({chunk_of('C'), chunk_of('D', 2)})));
 }
 
 TEST(Reassembly, MissingFragmentTimesOutAndSweepEvicts) {
@@ -735,7 +825,7 @@ TEST(Reassembly, MissingFragmentTimesOutAndSweepEvicts) {
   net::Reassembler reasm(cfg);
   const auto t0 = net::Reassembler::Clock::now();
   const Uid m;
-  EXPECT_FALSE(reasm.add(frag(5, m, 0, 2), bytes_of("AA"), t0).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 0, 2), chunk_of('A'), t0).has_value());
   reasm.sweep(t0 + std::chrono::milliseconds(50));
   EXPECT_EQ(reasm.entries(), 1u);  // not stale yet
   reasm.sweep(t0 + std::chrono::milliseconds(150));
@@ -744,7 +834,7 @@ TEST(Reassembly, MissingFragmentTimesOutAndSweepEvicts) {
   EXPECT_EQ(reasm.stats().expired, 1u);
   // A retransmitted message simply starts a fresh entry.
   EXPECT_FALSE(
-      reasm.add(frag(5, m, 0, 2), bytes_of("AA"), t0 + std::chrono::milliseconds(200))
+      reasm.add(frag(5, m, 0, 2), chunk_of('A'), t0 + std::chrono::milliseconds(200))
           .has_value());
   EXPECT_EQ(reasm.entries(), 1u);
 }
@@ -754,10 +844,10 @@ TEST(Reassembly, FragmentStormIsMemoryBounded) {
   // configured entry count / byte total: old entries are displaced.
   net::ReassemblyConfig cfg;
   cfg.max_entries = 8;
-  cfg.max_total_bytes = 4 * 1024;
+  cfg.max_total_bytes = 8 * kChunk;  // four two-fragment messages
   net::Reassembler reasm(cfg);
   const auto now = net::Reassembler::Clock::now();
-  const std::vector<std::byte> chunk(512, std::byte{0x5A});
+  const std::vector<std::byte> chunk = chunk_of('Z');
   for (std::uint32_t i = 0; i < 100; ++i) {
     (void)reasm.add(frag(5, Uid(), 0, 2), chunk, now);
     EXPECT_LE(reasm.entries(), cfg.max_entries);
@@ -768,10 +858,9 @@ TEST(Reassembly, FragmentStormIsMemoryBounded) {
   // A single message over the byte budget is refused outright rather than
   // evicting the whole table and still not fitting.
   net::ReassemblyConfig tiny;
-  tiny.max_total_bytes = 1'024;
+  tiny.max_total_bytes = kChunk;
   net::Reassembler small(tiny);
-  const std::vector<std::byte> big(2'048, std::byte{0x5A});
-  EXPECT_FALSE(small.add(frag(5, Uid(), 0, 2), big, now).has_value());
+  EXPECT_FALSE(small.add(frag(5, Uid(), 0, 2), chunk, now).has_value());
   EXPECT_EQ(small.entries(), 0u);
   EXPECT_EQ(small.stats().oversize, 1u);
 
@@ -782,6 +871,140 @@ TEST(Reassembly, FragmentStormIsMemoryBounded) {
   net::Reassembler strict(capped);
   EXPECT_FALSE(strict.add(frag(5, Uid(), 0, 5), chunk, now).has_value());
   EXPECT_EQ(strict.entries(), 0u);
+}
+
+TEST(Reassembly, LastFragmentFirstIsPlacedInPlace) {
+  // The last fragment tells the message's exact length, so arriving first it
+  // opens an exact-size buffer and lands at its offset; the rest fill in
+  // around it, and a duplicate of it changes nothing.
+  net::Reassembler reasm;
+  const auto now = net::Reassembler::Clock::now();
+  const Uid m;
+  EXPECT_FALSE(reasm.add(frag(5, m, 2, 3), chunk_of('C', 2), now).has_value());
+  EXPECT_EQ(reasm.buffered_bytes(), 2 * kChunk + 2);
+  EXPECT_FALSE(reasm.add(frag(5, m, 2, 3), chunk_of('X', 2), now).has_value());
+  EXPECT_EQ(reasm.stats().duplicates, 1u);
+  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), chunk_of('A'), now).has_value());
+  const auto completed = reasm.add(frag(5, m, 1, 3), chunk_of('B'), now);
+  EXPECT_TRUE(holds(completed, joined({chunk_of('A'), chunk_of('B'), chunk_of('C', 2)})));
+  EXPECT_EQ(reasm.buffered_bytes(), 0u);
+}
+
+TEST(Reassembly, FirstFragmentSizesTheBufferFromTheFrameHeader) {
+  // Fragment 0 of a real frame carries the MUF1 header, whose length
+  // prefixes give the exact message size; without one the buffer is
+  // count × chunk. A last chunk running past the declared size is refused.
+  const std::vector<std::byte> frame = net::encode_frame(blob_datagram(100'000));
+  ASSERT_EQ(net::fragment_count(frame.size()), 2u);
+  net::Reassembler reasm;
+  const auto now = net::Reassembler::Clock::now();
+  net::Fragment f = frag(5, Uid(), 0, 2);
+  EXPECT_FALSE(reasm.add(f, std::span(frame).first(kChunk), now).has_value());
+  EXPECT_EQ(reasm.buffered_bytes(), frame.size());
+  f.index = 1;
+  EXPECT_FALSE(reasm.add(f, std::span(frame).subspan(kChunk - 8), now).has_value());  // 8 too many
+  EXPECT_EQ(reasm.stats().mismatched, 1u);
+  const auto completed = reasm.add(f, std::span(frame).subspan(kChunk), now);
+  EXPECT_TRUE(holds(completed, frame));
+
+  EXPECT_FALSE(reasm.add(frag(5, Uid(), 0, 2), chunk_of('\0'), now).has_value());
+  EXPECT_EQ(reasm.buffered_bytes(), 2 * kChunk);  // no header: 2 × chunk
+}
+
+TEST(Reassembly, InconsistentChunkLengthsAreRejected) {
+  // Chunks are placed at index × kFragmentChunkBytes: every chunk but the
+  // last must be exactly that long, the last at most that, and none empty.
+  // A fragment that breaks the rule opens nothing.
+  net::Reassembler reasm;
+  const auto now = net::Reassembler::Clock::now();
+  const Uid m;
+  // Short, long, long last, empty.
+  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), chunk_of('A', kChunk - 1), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 1, 3), chunk_of('B', kChunk + 1), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 2, 3), chunk_of('C', kChunk + 1), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 2, 3), chunk_of('C', 0), now).has_value());
+  EXPECT_EQ(reasm.stats().mismatched, 4u);
+  EXPECT_EQ(reasm.entries(), 0u);
+  EXPECT_EQ(reasm.buffered_bytes(), 0u);
+  // The same message, cut right, completes.
+  EXPECT_FALSE(reasm.add(frag(5, m, 0, 3), chunk_of('A'), now).has_value());
+  EXPECT_FALSE(reasm.add(frag(5, m, 1, 3), chunk_of('B'), now).has_value());
+  EXPECT_TRUE(holds(reasm.add(frag(5, m, 2, 3), chunk_of('C', 1), now),
+                    joined({chunk_of('A'), chunk_of('B'), chunk_of('C', 1)})));
+}
+
+TEST(Reassembly, MessageBuffersCountAgainstTheByteBudgetWhenOpened) {
+  // A message's whole buffer is charged when its first fragment opens it, so
+  // the table never holds more than max_total_bytes; a newcomer displaces the
+  // stalest message, and one that could never fit displaces nothing.
+  net::ReassemblyConfig cfg;
+  cfg.max_total_bytes = 10 * kChunk;
+  net::Reassembler reasm(cfg);
+  const auto now = net::Reassembler::Clock::now();
+  const std::vector<std::byte> chunk = chunk_of('Z');
+  const Uid first, second, third;
+  EXPECT_FALSE(reasm.add(frag(5, first, 1, 5), chunk, now).has_value());
+  EXPECT_EQ(reasm.buffered_bytes(), 5 * kChunk);
+  EXPECT_FALSE(reasm.add(frag(5, second, 1, 5), chunk, now).has_value());
+  EXPECT_EQ(reasm.buffered_bytes(), 10 * kChunk);
+  EXPECT_FALSE(reasm.add(frag(5, third, 1, 5), chunk, now).has_value());
+  EXPECT_EQ(reasm.stats().evicted, 1u);
+  EXPECT_EQ(reasm.entries(), 2u);
+  EXPECT_EQ(reasm.buffered_bytes(), 10 * kChunk);
+  EXPECT_FALSE(reasm.add(frag(5, Uid(), 1, 11), chunk, now).has_value());  // 11 chunks
+  EXPECT_EQ(reasm.stats().oversize, 1u);
+  EXPECT_EQ(reasm.stats().evicted, 1u);
+  EXPECT_EQ(reasm.entries(), 2u);
+  // The newer message survived: feeding it opens nothing and evicts nothing.
+  EXPECT_FALSE(reasm.add(frag(5, second, 0, 5), chunk, now).has_value());
+  EXPECT_EQ(reasm.stats().evicted, 1u);
+  EXPECT_EQ(reasm.buffered_bytes(), 10 * kChunk);
+}
+
+TEST(Reassembly, AForgedClaimCannotFlushMessagesStillArriving) {
+  // One fragment claims a whole message buffer. A newcomer over the byte
+  // budget displaces only messages with at least as many bytes still to come,
+  // or ones that have stalled: a 50-byte forged last fragment claiming seven
+  // chunks is dropped rather than flushing a message that is further along,
+  // and a real newcomer displaces the forged claim.
+  net::ReassemblyConfig cfg;
+  cfg.max_total_bytes = 10 * kChunk;
+  net::Reassembler reasm(cfg);
+  const auto now = net::Reassembler::Clock::now();
+  const Uid real, forged, later;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_FALSE(reasm.add(frag(5, real, i, 5), chunk_of('R'), now).has_value());
+  }
+  EXPECT_EQ(reasm.buffered_bytes(), 5 * kChunk);  // one chunk to come
+  EXPECT_FALSE(reasm.add(frag(6, forged, 7, 8), chunk_of('F', 50), now).has_value());
+  EXPECT_EQ(reasm.stats().evicted, 1u);  // the newcomer, not `real`
+  EXPECT_EQ(reasm.entries(), 1u);
+  EXPECT_TRUE(reasm.add(frag(5, real, 4, 5), chunk_of('R', 9), now).has_value());
+
+  // With room to spare the claim gets in; a newcomer with fewer bytes to
+  // come displaces it.
+  EXPECT_FALSE(reasm.add(frag(6, forged, 7, 8), chunk_of('F', 50), now).has_value());
+  EXPECT_EQ(reasm.buffered_bytes(), 7 * kChunk + 50);
+  EXPECT_FALSE(reasm.add(frag(5, later, 0, 5), chunk_of('L'), now).has_value());
+  EXPECT_EQ(reasm.stats().evicted, 2u);
+  EXPECT_EQ(reasm.entries(), 1u);
+  EXPECT_EQ(reasm.buffered_bytes(), 5 * kChunk);
+
+  // A message that has stalled — it lost a fragment — is displaced whatever
+  // it has left to come.
+  for (std::uint32_t i = 1; i < 4; ++i) {
+    EXPECT_FALSE(reasm.add(frag(5, later, i, 5), chunk_of('L'), now).has_value());
+  }
+  const auto stalled = now + net::Reassembler::kStalledAfter;
+  EXPECT_FALSE(reasm.add(frag(6, Uid(), 7, 8), chunk_of('F', 50),
+                         stalled - std::chrono::milliseconds(1))
+                   .has_value());
+  EXPECT_EQ(reasm.stats().evicted, 3u);  // the newcomer again
+  EXPECT_EQ(reasm.entries(), 1u);
+  EXPECT_FALSE(reasm.add(frag(6, Uid(), 7, 8), chunk_of('F', 50), stalled).has_value());
+  EXPECT_EQ(reasm.stats().evicted, 4u);  // `later`
+  EXPECT_EQ(reasm.entries(), 1u);
+  EXPECT_EQ(reasm.buffered_bytes(), 7 * kChunk + 50);
 }
 
 TEST(ThreadPoolTest, ExecutesSubmittedWork) {

@@ -205,8 +205,8 @@ TEST(ObjectState, TruncatedEncodingIsRejected) {
   // (BufferUnderflow). Both derive from std::runtime_error.
   for (const std::size_t keep : {std::size_t{0}, std::size_t{3}, std::size_t{7},
                                  std::size_t{12}, full.size() - 1}) {
-    std::vector<std::byte> cut(full.data().begin(),
-                               full.data().begin() + static_cast<std::ptrdiff_t>(keep));
+    std::vector<std::byte> cut(full.bytes().begin(),
+                               full.bytes().begin() + static_cast<std::ptrdiff_t>(keep));
     ByteBuffer buf(std::move(cut));
     EXPECT_THROW((void)ObjectState::decode(buf), std::runtime_error) << "kept " << keep;
   }
@@ -217,7 +217,7 @@ TEST(ObjectState, EverySingleBitFlipIsDetected) {
   const ByteBuffer full = s.encode();
   for (std::size_t byte = 0; byte < full.size(); ++byte) {
     for (std::uint8_t bit = 0; bit < 8; ++bit) {
-      std::vector<std::byte> damaged(full.data());
+      std::vector<std::byte> damaged(full.bytes().begin(), full.bytes().end());
       damaged[byte] ^= static_cast<std::byte>(1u << bit);
       ByteBuffer buf(std::move(damaged));
       EXPECT_THROW((void)ObjectState::decode(buf), std::runtime_error)

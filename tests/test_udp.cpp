@@ -96,10 +96,10 @@ Datagram big_datagram(std::size_t blob_bytes) {
 
 TEST(UdpTransport, OversizedMessageIsRefusedAtSend) {
   REQUIRE_LOOPBACK();
-  // max_message_bytes <= max_frame_bytes disables fragmentation: anything
+  // max_message_bytes <= net::kMaxFrameBytes disables fragmentation: anything
   // that cannot travel as one datagram is refused, permanently and loudly.
   UdpTransportConfig config{two_node_map()};
-  config.max_message_bytes = config.max_frame_bytes;
+  config.max_message_bytes = net::kMaxFrameBytes;
   UdpTransport t(std::move(config));
   t.attach(1, [](Datagram) {});
 
@@ -167,8 +167,8 @@ std::size_t count_threads_named(const std::string& prefix) {
 
 TEST(UdpTransport, ReactorRunsOneRxThreadRegardlessOfAttachedIds) {
   REQUIRE_LOOPBACK();
-  // The point of the reactor refactor: a driver attaching six loopback ids
-  // still costs ONE receive thread, where ThreadPerId costs six.
+  // The point of the reactor: a driver attaching six loopback ids still
+  // costs ONE receive thread.
   std::unordered_map<NodeId, UdpAddress> peers;
   for (NodeId id = 1; id <= 6; ++id) {
     peers[id] = {"127.0.0.1", net::pick_free_udp_port()};
@@ -195,32 +195,6 @@ TEST(UdpTransport, ReactorRunsOneRxThreadRegardlessOfAttachedIds) {
 
   for (NodeId id = 1; id <= 6; ++id) t.detach(id);
   EXPECT_EQ(delivered.load(), 5);
-}
-
-TEST(UdpTransport, ThreadPerIdModeStillDelivers) {
-  REQUIRE_LOOPBACK();
-  // The legacy baseline stays functional (bench_net_cluster A/Bs against it).
-  const auto peers = two_node_map();
-  UdpTransportConfig c1{peers};
-  UdpTransportConfig c2{peers};
-  c1.rx_mode = RxMode::ThreadPerId;
-  c2.rx_mode = RxMode::ThreadPerId;
-  UdpTransport t1(std::move(c1));
-  UdpTransport t2(std::move(c2));
-  std::atomic<int> delivered{0};
-  t1.attach(1, [](Datagram) {});
-  t2.attach(2, [&](Datagram) { ++delivered; });
-  ASSERT_TRUE(wait_until(2'000ms, [] { return count_threads_named("mca-udp-") == 2; }));
-  EXPECT_EQ(count_threads_named("mca-net-reactor"), 0u);
-
-  Datagram d;
-  d.from = 1;
-  d.to = 2;
-  d.service = "legacy";
-  d.request_id = Uid();
-  EXPECT_EQ(t1.send(d), SendStatus::Accepted);
-  ASSERT_TRUE(wait_until(2'000ms, [&] { return delivered.load() == 1; }));
-  EXPECT_EQ(t2.reactor_stats().rx_datagrams, 0u);  // no reactor in this mode
 }
 
 TEST(UdpTransport, CorruptAndMalformedBytesAreDroppedAtReceive) {
@@ -351,7 +325,7 @@ TEST(UdpRpc, OversizePayloadFailsFastBeforeFragmentationAndWorksAfter) {
 
   {
     UdpTransportConfig no_frag{peers};
-    no_frag.max_message_bytes = no_frag.max_frame_bytes;  // pre-fragmentation world
+    no_frag.max_message_bytes = net::kMaxFrameBytes;  // pre-fragmentation world
     UdpTransport server_t(UdpTransportConfig{peers});
     UdpTransport client_t(std::move(no_frag));
     RpcEndpoint server(server_t, 2);
