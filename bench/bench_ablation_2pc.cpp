@@ -134,7 +134,6 @@ void tpc_atomicity_report() {
       .set("transfers", kTransfers)
       .set("committed", committed)
       .set("atomic", atomic)
-      .set("parallel_termination", AtomicAction::parallel_termination())
       .set("messages_sent", static_cast<std::size_t>(stats.sent))
       .set("messages_lost", static_cast<std::size_t>(stats.lost))
       .write_file("BENCH_2pc_ablation.json");

@@ -5,11 +5,8 @@
 //
 //   * committed increments/sec — 8 concurrent client actions, each looping
 //     { begin; add(1) to a shared counter on each of 3 DistNodes; commit }.
-//     Three legs over the identical workload shape:
+//     Two legs over the identical workload shape:
 //       fast       CommutativeCounter, one-phase delta commit (the product);
-//       ablation   CommutativeCounter with set_commutative_fastpath(false) —
-//                  commutative locks still share, but the commit runs
-//                  classical 2PC (isolates the one-phase round's worth);
 //       classical  RecoverableInt behind write locks + 2PC (the baseline
 //                  every other subsystem pays).
 //     The acceptance gate: fast >= 5x classical (>= 3x in smoke, where the
@@ -78,13 +75,13 @@ std::uint64_t dir_bytes(const fs::path& p) {
   return total;
 }
 
-// --- section 1: committed increments/sec, three legs ------------------------
+// --- section 1: committed increments/sec, two legs --------------------------
 
 // One leg: 3 server nodes hosting one shared object each, 8 client nodes
 // driving one worker thread each. Every committed action adds 1 to all
 // three objects; throughput is committed increments (3 per action) over the
-// measured window. `commutative` picks the hosted type; the fast-path
-// switch is the caller's business (the ablation leg flips it).
+// measured window. `commutative` picks the hosted type, and with it the
+// commit path: one-phase deltas or classical 2PC.
 double increments_per_second(bool commutative, std::chrono::milliseconds window) {
   Network net(fast_config());
   std::vector<std::unique_ptr<DistNode>> servers;
@@ -225,22 +222,13 @@ int run(bool smoke, const char* out_path) {
               smoke ? "smoke" : "full", kWorkers, kServers);
 
   const double fast = increments_per_second(/*commutative=*/true, window);
-  const bool restore = [] {
-    AtomicAction::set_commutative_fastpath(false);
-    return true;
-  }();
-  (void)restore;
-  const double ablation = increments_per_second(/*commutative=*/true, window);
-  AtomicAction::set_commutative_fastpath(true);
   const double classical = increments_per_second(/*commutative=*/false, window);
 
   const double speedup = classical > 0 ? fast / classical : 0.0;
-  const double vs_ablation = ablation > 0 ? fast / ablation : 0.0;
   const bool speedup_pass = speedup >= speedup_gate;
-  std::printf("committed increments/sec: fast %.0f, ablation(2pc) %.0f, classical %.0f\n",
-              fast, ablation, classical);
-  std::printf("fast/classical %.2fx (gate %.1fx) — %s; fast/ablation %.2fx\n", speedup,
-              speedup_gate, speedup_pass ? "PASS" : "FAIL", vs_ablation);
+  std::printf("committed increments/sec: fast %.0f, classical %.0f\n", fast, classical);
+  std::printf("fast/classical %.2fx (gate %.1fx) — %s\n", speedup, speedup_gate,
+              speedup_pass ? "PASS" : "FAIL");
 
   const DeltaBytes bytes = wal_bytes_per_increment();
   const double ratio =
@@ -259,10 +247,8 @@ int run(bool smoke, const char* out_path) {
       .set("workers", static_cast<std::size_t>(kWorkers))
       .set("nodes", static_cast<std::size_t>(kServers))
       .set("fast_increments_per_s", fast)
-      .set("ablation_increments_per_s", ablation)
       .set("classical_increments_per_s", classical)
       .set("speedup_vs_classical", speedup)
-      .set("speedup_vs_ablation", vs_ablation)
       .set("speedup_gate", speedup_gate)
       .set("speedup_pass", speedup_pass)
       .set("delta_bytes_per_increment", bytes.delta_bytes_per_increment)

@@ -1,10 +1,9 @@
-// A10 (§5.5): the runtime spine — shared executor dispatch vs per-task
-// thread spawn.
+// A10 (§5.5): the runtime spine — pooled dispatch on the shared executor.
 //
-// Before the spine, every parallel step paid for a fresh std::thread: one
-// per extra shadow batch in prepare, one per asynchronous independent
-// action, one timer thread per RPC endpoint. This bench quantifies what the
-// pooled dispatch saves and proves the acceptance property that matters:
+// Every parallel step of the runtime (the extra shadow batches of a
+// prepare, asynchronous independent actions, RPC handlers, recovery passes)
+// rides the runtime's executor instead of a fresh std::thread. This bench
+// records what pooled dispatch costs and proves the property that matters:
 // once warm, the hot paths (pooled commit dispatch, async independent-action
 // spawn) create ZERO new OS threads — verified against the executor's own
 // threads_spawned counter under a 64-way concurrent commit + async load.
@@ -12,23 +11,15 @@
 // Three measurements, emitted as BENCH_executor.json:
 //   1. commit dispatch latency at 1/4/16 concurrent committers, each commit
 //      a two-store transaction (multi-batch prepare, so the real fan-out
-//      path runs): dispatching the commit onto a freshly spawned
-//      std::thread (the pre-spine idiom) vs submitting it to the runtime
-//      executor's warm blocking lane;
+//      path runs) submitted to the runtime executor's warm blocking lane;
 //   2. asynchronous independent-action throughput through
-//      IndependentAction::spawn (pooled) vs a thread-per-action baseline;
+//      IndependentAction::spawn;
 //   3. the steady-state check: warm-up rounds until the executor stops
 //      growing, then a measured 64-way round that must spawn no threads.
 //
-// Acceptance gates (exit non-zero on a miss, so CI catches a regression of
-// the spine): the single-committer dispatch speedup — the pure cost of
-// getting one unit of commit work onto another thread — the pooled:spawned
-// async throughput ratio, and zero hot-path spawns. The 4/16-committer
-// points are recorded as curve data but not gated: on a heavily
-// oversubscribed host (this container has one core) those latencies are
-// scheduler-bound — a freshly spawned thread gets a direct switch from its
-// joiner while pooled tasks share queue fairness — and say nothing about
-// dispatch cost.
+// The one gate is exact (exit non-zero on a miss, so CI catches a
+// regression of the spine): zero hot-path spawns. The latencies and the
+// throughput are recorded, not gated.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -79,14 +70,10 @@ struct TwoStoreBench {
   std::vector<std::unique_ptr<RecoverableInt>> b;
 };
 
-enum class Dispatch { ThreadSpawn, Pooled };
-
 // Median per-commit dispatch+completion latency in microseconds across
 // `committers` concurrent committer threads, each performing `iters`
-// dispatched commits. ThreadSpawn reproduces the pre-spine idiom (a fresh
-// std::thread per unit of parallel work); Pooled submits the same commit to
-// the runtime executor's blocking lane and waits.
-double median_dispatch_us(TwoStoreBench& bench, Dispatch dispatch, int committers, int iters) {
+// commits submitted to the runtime executor's blocking lane and awaited.
+double median_dispatch_us(TwoStoreBench& bench, int committers, int iters) {
   std::vector<std::vector<double>> samples(static_cast<std::size_t>(committers));
   constexpr int kWarmup = 2;
   std::latch start(committers);
@@ -97,21 +84,16 @@ double median_dispatch_us(TwoStoreBench& bench, Dispatch dispatch, int committer
         start.arrive_and_wait();
         for (int i = 0; i < iters + kWarmup; ++i) {
           const auto t0 = std::chrono::steady_clock::now();
-          if (dispatch == Dispatch::ThreadSpawn) {
-            std::thread worker([&] { bench.commit_once(c); });
-            worker.join();
-          } else {
-            std::latch done(1);
-            const bool queued = bench.rt.executor().submit_blocking([&] {
-              bench.commit_once(c);
-              done.count_down();
-            });
-            if (!queued) {  // only during shutdown; never expected here
-              bench.commit_once(c);
-              done.count_down();
-            }
-            done.wait();
+          std::latch done(1);
+          const bool queued = bench.rt.executor().submit_blocking([&] {
+            bench.commit_once(c);
+            done.count_down();
+          });
+          if (!queued) {  // only during shutdown; never expected here
+            bench.commit_once(c);
+            done.count_down();
           }
+          done.wait();
           const auto t1 = std::chrono::steady_clock::now();
           if (i >= kWarmup) {
             samples[static_cast<std::size_t>(c)].push_back(
@@ -128,24 +110,15 @@ double median_dispatch_us(TwoStoreBench& bench, Dispatch dispatch, int committer
 }
 
 // Actions per second for a burst of `actions` asynchronous independent
-// actions, pooled (IndependentAction::spawn rides the executor) or spawning
-// one std::thread per action (the pre-spine shape).
-double async_actions_per_sec(Runtime& rt, bool pooled, int actions) {
+// actions (IndependentAction::spawn rides the executor).
+double async_actions_per_sec(Runtime& rt, int actions) {
   std::atomic<int> ran{0};
   const auto body = [&ran] { ran.fetch_add(1, std::memory_order_relaxed); };
   const auto t0 = std::chrono::steady_clock::now();
-  if (pooled) {
-    std::vector<IndependentAction::Async> handles;
-    handles.reserve(static_cast<std::size_t>(actions));
-    for (int i = 0; i < actions; ++i) handles.push_back(IndependentAction::spawn(rt, body));
-    for (auto& h : handles) (void)h.join();
-  } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(actions));
-    for (int i = 0; i < actions; ++i) {
-      threads.emplace_back([&rt, &body] { (void)IndependentAction::run(rt, body); });
-    }
-  }
+  std::vector<IndependentAction::Async> handles;
+  handles.reserve(static_cast<std::size_t>(actions));
+  for (int i = 0; i < actions; ++i) handles.push_back(IndependentAction::spawn(rt, body));
+  for (auto& h : handles) (void)h.join();
   const auto t1 = std::chrono::steady_clock::now();
   if (ran.load() != actions) {
     std::fprintf(stderr, "executor bench: async actions lost (%d of %d ran)\n", ran.load(),
@@ -199,39 +172,25 @@ void mixed_load_round(TwoStoreBench& bench, int committers, int iters) {
 int run(bool smoke, const std::string& out_path) {
   const std::vector<int> committer_counts{1, 4, 16};
   const int iters = smoke ? 20 : 200;
-  // Smoke runs are short and noisy; the real bar is enforced by the full
-  // run.
-  const double dispatch_threshold = smoke ? 1.2 : 1.5;
-  const double async_threshold = smoke ? 1.5 : 2.0;
 
-  std::printf("=== A10 / §5.5 — runtime spine: pooled dispatch vs thread spawn (%s) ===\n",
+  std::printf("=== A10 / §5.5 — runtime spine: pooled dispatch (%s) ===\n",
               smoke ? "smoke" : "full");
-  std::printf("%-12s %18s %14s %10s\n", "committers", "thread-spawn us", "pooled us", "speedup");
+  std::printf("%-12s %14s\n", "committers", "pooled us");
 
   bench::Json points = bench::Json::array();
-  double speedup_at_1 = 0.0;
   for (const int c : committer_counts) {
     TwoStoreBench bench(c);
-    const double spawn_us = median_dispatch_us(bench, Dispatch::ThreadSpawn, c, iters);
-    const double pooled_us = median_dispatch_us(bench, Dispatch::Pooled, c, iters);
-    const double speedup = spawn_us / pooled_us;
-    if (c == 1) speedup_at_1 = speedup;
-    std::printf("%-12d %18.1f %14.1f %9.2fx\n", c, spawn_us, pooled_us, speedup);
-    points.push(bench::Json::object()
-                    .set("committers", c)
-                    .set("thread_spawn_commit_us", spawn_us)
-                    .set("pooled_commit_us", pooled_us)
-                    .set("speedup", speedup));
+    const double pooled_us = median_dispatch_us(bench, c, iters);
+    std::printf("%-12d %14.1f\n", c, pooled_us);
+    points.push(bench::Json::object().set("committers", c).set("pooled_commit_us", pooled_us));
   }
 
-  // Async independent-action throughput: pooled spawn vs thread-per-action.
+  // Async independent-action throughput through the pooled spawn.
   const int async_actions = smoke ? 256 : 4096;
   Runtime async_rt;
-  (void)async_actions_per_sec(async_rt, /*pooled=*/true, async_actions);  // warm the lane
-  const double pooled_aps = async_actions_per_sec(async_rt, /*pooled=*/true, async_actions);
-  const double spawn_aps = async_actions_per_sec(async_rt, /*pooled=*/false, async_actions);
-  std::printf("async independent actions: pooled %.0f/s, thread-per-action %.0f/s\n", pooled_aps,
-              spawn_aps);
+  (void)async_actions_per_sec(async_rt, async_actions);  // warm the lane
+  const double pooled_aps = async_actions_per_sec(async_rt, async_actions);
+  std::printf("async independent actions: %.0f/s\n", pooled_aps);
 
   // Steady-state thread flatness under the 64-way mixed load: warm up until
   // the executor stops growing, then demand a round that spawns nothing.
@@ -279,11 +238,7 @@ int run(bool smoke, const std::string& out_path) {
       steady.workers + steady.blocking_threads, steady.blocking_threads, warmup_rounds,
       static_cast<unsigned long long>(hot_spawned), os_threads);
 
-  const double async_ratio = pooled_aps / spawn_aps;
-  const bool dispatch_ok = speedup_at_1 >= dispatch_threshold;
-  const bool async_ok = async_ratio >= async_threshold;
-  const bool flat_ok = hot_spawned == 0;
-  const bool pass = dispatch_ok && async_ok && flat_ok;
+  const bool pass = hot_spawned == 0;
 
   bench::Json result = bench::Json::object();
   result.set("bench", "executor")
@@ -291,14 +246,8 @@ int run(bool smoke, const std::string& out_path) {
       .set("mode", smoke ? "smoke" : "full")
       .set("iterations_per_point", iters)
       .set("commit_dispatch", std::move(points))
-      .set("commit_dispatch_note",
-           "points above 1 committer are scheduler-bound on oversubscribed hosts; "
-           "only the 1-committer speedup is gated")
-      .set("dispatch_speedup_at_1_committer", speedup_at_1)
       .set("async_actions", async_actions)
       .set("async_pooled_actions_per_sec", pooled_aps)
-      .set("async_thread_per_action_per_sec", spawn_aps)
-      .set("async_throughput_ratio", async_ratio)
       .set("steady_state",
            bench::Json::object()
                .set("committers", flat_committers)
@@ -308,17 +257,11 @@ int run(bool smoke, const std::string& out_path) {
                .set("pool_blocking_threads", steady.blocking_threads)
                .set("total_threads_spawned", static_cast<std::size_t>(steady.threads_spawned))
                .set("os_threads", os_threads))
-      .set("dispatch_threshold", dispatch_threshold)
-      .set("async_threshold", async_threshold)
       .set("pass", pass);
   result.write_file(out_path);
 
-  std::printf(
-      "dispatch speedup at 1 committer: %.2fx (threshold %.1fx) — %s; "
-      "async throughput ratio: %.1fx (threshold %.1fx) — %s; hot-path spawns: %llu — %s\n",
-      speedup_at_1, dispatch_threshold, dispatch_ok ? "PASS" : "FAIL", async_ratio,
-      async_threshold, async_ok ? "PASS" : "FAIL", static_cast<unsigned long long>(hot_spawned),
-      flat_ok ? "PASS" : "FAIL");
+  std::printf("hot-path spawns: %llu — %s\n", static_cast<unsigned long long>(hot_spawned),
+              pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }
 

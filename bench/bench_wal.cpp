@@ -4,8 +4,8 @@
 // The workload is the store traffic one committed action generates: a batch
 // of K object states made durable in one call (write_batch, Committed).
 // FileStore runs in its strongest honest configuration — fsync_before_rename
-// on, group commit on, so a K-write batch costs K data fsyncs plus one
-// directory barrier. WalStore frames the same batch into one record run,
+// on, so its group-committed write_batch costs K data fsyncs plus one
+// directory barrier for a K-write batch. WalStore frames the same batch into one record run,
 // appends it with a single write, and issues a single fsync.
 //
 // Three sections:
@@ -67,7 +67,6 @@ std::vector<ObjectState> make_batch(const std::vector<Uid>& uids, int iter) {
 FileStore::Options durable_file_options() {
   FileStore::Options o;
   o.fsync_before_rename = true;  // honest durability, like the WAL's fsync
-  o.group_commit = true;         // its best batch configuration
   return o;
 }
 

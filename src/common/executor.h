@@ -11,8 +11,8 @@
 //     that run to completion without blocking on other tasks (shadow-batch
 //     store writes, fan-out helpers). `try_submit` refuses (returns false)
 //     when the queue is full or the executor is shutting down — callers run
-//     the task inline, which keeps the old serial path as the overload
-//     fallback and makes pool exhaustion degrade gracefully instead of
+//     the task inline, which makes the caller's own thread the overload
+//     fallback and pool exhaustion degrade gracefully instead of
 //     deadlocking.
 //
 //   * The *blocking lane* is for tasks that may block indefinitely — on

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <latch>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.h"
 #include "objects/lock_managed.h"
@@ -18,9 +16,6 @@ ColourSet initial_colours(AtomicAction* parent, ColourSet explicit_colours) {
   if (parent != nullptr) return parent->colours();
   return ColourSet{Colour::plain()};
 }
-
-std::atomic<bool> g_parallel_termination{true};
-std::atomic<bool> g_commutative_fastpath{true};
 
 // Gathers phase-one votes as they complete, whatever order the exchanges
 // finish in. Heap-allocated and captured by shared_ptr in the completion
@@ -48,14 +43,6 @@ struct VoteBoard {
 };
 
 }  // namespace
-
-void AtomicAction::set_parallel_termination(bool on) { g_parallel_termination.store(on); }
-
-bool AtomicAction::parallel_termination() { return g_parallel_termination.load(); }
-
-void AtomicAction::set_commutative_fastpath(bool on) { g_commutative_fastpath.store(on); }
-
-bool AtomicAction::commutative_fastpath() { return g_commutative_fastpath.load(); }
 
 TerminationParticipant::Pending TerminationParticipant::start_prepare(
     const Uid& action, const std::vector<Colour>& permanent_colours) {
@@ -338,104 +325,19 @@ bool AtomicAction::prepare_permanent(const std::vector<Colour>& permanent,
                                      const ShadowCover& cover,
                                      std::vector<UndoRecord*>& prepared) {
   const std::scoped_lock lock(mutex_);
-  if (!parallel_termination()) {
-    // Legacy path: one shadow write (and one durability barrier) at a time.
+  ShadowBatches batches;
+  try {
     for (UndoRecord& r : undo_) {
       if (std::find(permanent.begin(), permanent.end(), r.colour) == permanent.end()) continue;
-      try {
-        cover.write(r.object->store(), {r.object->make_object_state()});
-        prepared.push_back(&r);
-      } catch (const std::exception& e) {
-        MCA_LOG(Warn, "action") << "prepare failed for object " << r.object->uid() << ": "
-                                << e.what();
-        for (UndoRecord* p : prepared) p->object->store().discard_shadow(p->object->uid());
-        prepared.clear();
-        return false;
-      }
+      batches.add(r.object->store(), r.object->make_object_state());
+      prepared.push_back(&r);
     }
-    return true;
-  }
-
-  // Group the permanent-colour records per store: each store lands its whole
-  // batch behind one durability barrier (FileStore group commit), and
-  // independent stores write concurrently.
-  std::vector<std::pair<ObjectStore*, std::vector<UndoRecord*>>> batches;
-  for (UndoRecord& r : undo_) {
-    if (std::find(permanent.begin(), permanent.end(), r.colour) == permanent.end()) continue;
-    ObjectStore* store = &r.object->store();
-    auto it = std::find_if(batches.begin(), batches.end(),
-                           [&](const auto& b) { return b.first == store; });
-    if (it == batches.end()) {
-      batches.emplace_back(store, std::vector<UndoRecord*>{});
-      it = std::prev(batches.end());
-    }
-    it->second.push_back(&r);
-  }
-  if (batches.empty()) return true;
-
-  const auto run_batch = [&](std::size_t i) {
-    std::vector<ObjectState> states;
-    states.reserve(batches[i].second.size());
-    for (UndoRecord* r : batches[i].second) states.push_back(r->object->make_object_state());
-    cover.write(*batches[i].first, states);
-  };
-
-  std::vector<std::exception_ptr> errors(batches.size());
-  if (batches.size() == 1) {
-    try {
-      run_batch(0);
-    } catch (const std::exception&) {
-      errors[0] = std::current_exception();
-    }
-    // Anything else (a simulated kill) tunnels out, as it always has.
-  } else {
-    // Fan the extra batches out on the runtime executor; batch 0 runs here.
-    // A refused submission (queue full, shutdown) runs inline on this
-    // thread — the serial fallback, not a failure.
-    std::latch done(static_cast<std::ptrdiff_t>(batches.size() - 1));
-    for (std::size_t i = 1; i < batches.size(); ++i) {
-      auto work = [&, i] {
-        try {
-          run_batch(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-        done.count_down();
-      };
-      if (!rt_.executor().try_submit(work)) work();
-    }
-    try {
-      run_batch(0);
-    } catch (...) {
-      errors[0] = std::current_exception();
-    }
-    done.wait();
-  }
-
-  bool veto = false;
-  std::exception_ptr kill;
-  for (const std::exception_ptr& error : errors) {
-    if (!error) continue;
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& e) {
-      MCA_LOG(Warn, "action") << "prepare batch failed: " << e.what();
-      veto = true;
-    } catch (...) {
-      kill = error;  // CrashPointHit: re-raise on this thread so it tunnels
-    }
-  }
-  if (kill) std::rethrow_exception(kill);
-  if (veto) {
-    // A failed batch may be partially written; discard every uid we touched
-    // (discarding a shadow that never landed is a harmless no-op).
-    for (const auto& [store, records] : batches) {
-      for (UndoRecord* r : records) store->discard_shadow(r->object->uid());
-    }
+    cover.write(batches, rt_.executor());
+  } catch (const std::exception& e) {
+    MCA_LOG(Warn, "action") << "prepare " << uid_ << " failed: " << e.what();
+    batches.discard();
+    prepared.clear();
     return false;
-  }
-  for (const auto& [store, records] : batches) {
-    for (UndoRecord* r : records) prepared.push_back(r);
   }
   return true;
 }
@@ -470,8 +372,8 @@ Outcome AtomicAction::commit() {
   // and overlaps the one-phase tx.delta batches; locks then release as on
   // any outermost commit. A declined decision falls back to the classical
   // path below — sound, because nothing has been applied anywhere yet.
-  if (commutative_fastpath() && permanent.size() == resolutions.size() &&
-      undo_record_count() == 0 && !participants.empty()) {
+  if (permanent.size() == resolutions.size() && undo_record_count() == 0 &&
+      !participants.empty()) {
     const bool eligible = std::all_of(participants.begin(), participants.end(),
                                       [&](const auto& p) { return p->delta_only(uid_); });
     bool decided = eligible;
@@ -537,7 +439,7 @@ Outcome AtomicAction::commit() {
   const auto dispos = dispositions();
   MCA_CRASHPOINT("tpc.coord.phase1.pre_send");
   bool veto = false;
-  if (parallel_termination()) {
+  {
     // Fan phase one out: start every exchange, then gather votes in
     // completion order. The first no/timeout vote short-circuits — the
     // stragglers are cancelled and drained before the abort goes out, so a
@@ -573,19 +475,6 @@ Outcome AtomicAction::commit() {
     }
     for (auto& pend : pendings) {
       if (pend.wait) (void)pend.wait();
-    }
-  } else {
-    for (auto& p : participants) {
-      bool ok = false;
-      try {
-        ok = p->prepare(uid_, permanent);
-      } catch (const std::exception& e) {
-        MCA_LOG(Warn, "action") << "participant prepare threw: " << e.what();
-      }
-      if (!ok) {
-        veto = true;
-        break;
-      }
     }
   }
   if (veto) {
@@ -657,27 +546,17 @@ Outcome AtomicAction::commit() {
 
   // Phase two to the participants, started in registration order; the
   // remote deliveries overlap and are drained afterwards.
-  if (parallel_termination()) {
-    std::vector<TerminationParticipant::Pending> pendings;
-    pendings.reserve(participants.size());
-    for (auto& p : participants) {
-      try {
-        pendings.push_back(p->start_commit(uid_, dispos));
-      } catch (const std::exception& e) {
-        MCA_LOG(Error, "action") << "participant commit threw: " << e.what();
-      }
+  std::vector<TerminationParticipant::Pending> pendings;
+  pendings.reserve(participants.size());
+  for (auto& p : participants) {
+    try {
+      pendings.push_back(p->start_commit(uid_, dispos));
+    } catch (const std::exception& e) {
+      MCA_LOG(Error, "action") << "participant commit threw: " << e.what();
     }
-    for (auto& pend : pendings) {
-      if (pend.wait) (void)pend.wait();
-    }
-  } else {
-    for (auto& p : participants) {
-      try {
-        p->commit(uid_, dispos);
-      } catch (const std::exception& e) {
-        MCA_LOG(Error, "action") << "participant commit threw: " << e.what();
-      }
-    }
+  }
+  for (auto& pend : pendings) {
+    if (pend.wait) (void)pend.wait();
   }
   {
     const std::scoped_lock lock(mutex_);
@@ -706,27 +585,17 @@ void AtomicAction::abort() {
     for (const RegisteredParticipant& rp : participants_) out.push_back(rp.participant);
     return out;
   }();
-  if (parallel_termination()) {
-    std::vector<TerminationParticipant::Pending> pendings;
-    pendings.reserve(participants.size());
-    for (auto& p : participants) {
-      try {
-        pendings.push_back(p->start_abort(uid_));
-      } catch (const std::exception& e) {
-        MCA_LOG(Error, "action") << "participant abort threw: " << e.what();
-      }
+  std::vector<TerminationParticipant::Pending> pendings;
+  pendings.reserve(participants.size());
+  for (auto& p : participants) {
+    try {
+      pendings.push_back(p->start_abort(uid_));
+    } catch (const std::exception& e) {
+      MCA_LOG(Error, "action") << "participant abort threw: " << e.what();
     }
-    for (auto& pend : pendings) {
-      if (pend.wait) (void)pend.wait();
-    }
-  } else {
-    for (auto& p : participants) {
-      try {
-        p->abort(uid_);
-      } catch (const std::exception& e) {
-        MCA_LOG(Error, "action") << "participant abort threw: " << e.what();
-      }
-    }
+  }
+  for (auto& pend : pendings) {
+    if (pend.wait) (void)pend.wait();
   }
   restore_undo_records();
   rt_.lock_manager().on_abort(uid_);

@@ -65,15 +65,16 @@ struct ColourDisposition {
 // action's effects somewhere else (another node) and takes part in the
 // termination protocol.
 //
-// Two surfaces: the blocking prepare/commit/abort virtuals, and the
-// start_* variants the parallel termination path uses to overlap
-// participants. start_* is called on the terminating thread in registration
-// order and does any coordinator-local work inline (heir bookkeeping, log
-// writes, crash points); the returned Pending represents whatever exchange
-// is still in flight. The defaults run the blocking virtual inline and
-// return an already-finished Pending, so a local participant (e.g. the
-// coordinator log) keeps its exact position in the protocol order even
-// when remote participants overlap around it.
+// The kernel terminates an action through the start_* calls only: each is
+// made on the terminating thread in registration order and does any
+// coordinator-local work inline (heir bookkeeping, log writes, crash
+// points); the returned Pending represents whatever exchange is still in
+// flight, and the kernel starts every participant's exchange before it
+// awaits any (DESIGN.md §5.4). The blocking prepare/commit/abort virtuals
+// are what a participant with nothing to overlap implements: the start_*
+// defaults run them inline and return an already-finished Pending, so a
+// local participant (e.g. the coordinator log) keeps its exact position in
+// the protocol order while remote participants overlap around it.
 class TerminationParticipant {
  public:
   // One started termination exchange.
@@ -320,23 +321,6 @@ class AtomicAction {
 
   // Lock acquisition timeout for this action (default LockManager's).
   void set_lock_timeout(std::chrono::milliseconds t) { lock_timeout_ = t; }
-
-  // -- termination-path ablation ----------------------------------------------
-  //
-  // Process-global switch between the parallel termination path (default:
-  // participant exchanges overlap via start_*, shadow writes are batched
-  // per store) and the legacy serial path (blocking calls in registration
-  // order, one shadow write at a time). Kept so both paths stay benchable;
-  // the serial path is also the reference for differential testing.
-  static void set_parallel_termination(bool on);
-  [[nodiscard]] static bool parallel_termination();
-
-  // Process-global ablation toggle for the commutative one-phase commit
-  // (DESIGN.md §5.9). Off, commutative actions still tally and merge under
-  // Commutative locks but terminate through the classical prepare/vote
-  // round — the bench's attribution baseline.
-  static void set_commutative_fastpath(bool on);
-  [[nodiscard]] static bool commutative_fastpath();
 
  private:
   void end_bookkeeping();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <latch>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -144,52 +143,6 @@ void ParticipantTable::drop_marker(const Uid& action) {
   rt_.default_store().remove(marker_uid(action));
 }
 
-void ParticipantTable::write_shadow_batches(
-    std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>>& batches,
-    const ShadowCover& cover) {
-  if (!AtomicAction::parallel_termination() || batches.size() <= 1) {
-    // Serial reference path — also keeps crash-point hit order deterministic
-    // for the sweep harness when the ablation toggle is off.
-    for (auto& [store, states] : batches) cover.write(*store, states);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(batches.size());
-  std::latch done(static_cast<std::ptrdiff_t>(batches.size() - 1));
-  for (std::size_t i = 1; i < batches.size(); ++i) {
-    auto work = [&, i] {
-      try {
-        cover.write(*batches[i].first, batches[i].second);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      done.count_down();
-    };
-    // Refused (queue full / shutdown) → run inline: the serial fallback.
-    if (!rt_.executor().try_submit(work)) work();
-  }
-  try {
-    cover.write(*batches[0].first, batches[0].second);
-  } catch (...) {
-    errors[0] = std::current_exception();
-  }
-  done.wait();
-
-  std::exception_ptr veto;
-  std::exception_ptr kill;
-  for (const std::exception_ptr& error : errors) {
-    if (!error) continue;
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception&) {
-      if (!veto) veto = error;
-    } catch (...) {
-      kill = error;  // CrashPointHit must not be swallowed by the veto path
-    }
-  }
-  if (kill) std::rethrow_exception(kill);
-  if (veto) std::rethrow_exception(veto);
-}
-
 bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& permanent,
                                NodeId coordinator, const std::vector<NodeId>& witnesses) {
   // Only this action's mirror stays locked across the marker's waited
@@ -209,34 +162,22 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
   // marker's flush — or the failure path's discards — carries them, so the
   // vote costs one append.
   const ShadowCover cover(&rt_.default_store());
+  ShadowBatches batches;
   try {
-    // Collect the shadow states per store first, then hand each store the
-    // whole batch: a group-committing store coalesces the per-write
-    // directory barriers into one.
-    std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>> batches;
     for (const Colour c : permanent) {
       // Peek at the records of this colour (extract, then re-adopt: abort
       // must still be able to undo them).
       auto records = mirror.action->extract_records(c);
       for (const UndoRecord& r : records) {
-        ObjectStore* store = &r.object->store();
-        auto bit = std::find_if(batches.begin(), batches.end(),
-                                [store](const auto& b) { return b.first == store; });
-        if (bit == batches.end()) {
-          batches.emplace_back(store, std::vector<ObjectState>{});
-          bit = std::prev(batches.end());
-        }
-        bit->second.push_back(r.object->make_object_state());
+        batches.add(r.object->store(), r.object->make_object_state());
         mirror.prepared.emplace_back(r.object->uid(), c);
       }
       mirror.action->adopt_records(std::move(records));
     }
-    write_shadow_batches(batches, cover);
+    cover.write(batches, rt_.executor());
   } catch (const std::exception& e) {
     MCA_LOG(Warn, "tpc") << "prepare " << action << " failed: " << e.what();
-    for (const auto& [uid, colour] : mirror.prepared) {
-      if (LockManaged* object = resolve_(uid)) object->store().discard_shadow(uid);
-    }
+    batches.discard();
     mirror.prepared.clear();
     return false;
   }
@@ -856,14 +797,15 @@ void CoordinatorLogParticipant::commit(const Uid& action,
 }
 
 bool CoordinatorLogParticipant::decide_delta(const Uid& action) {
-  if (owner_ == nullptr) return false;  // no participant view: fall back
+  AtomicAction* owner = owner_.load(std::memory_order_relaxed);
+  if (owner == nullptr) return false;  // no participant view: fall back
   // Gather every node's batch: armed remote participants carry the op
   // batches the servers shipped back per invoke; local delta tallies are
   // read straight off their objects.
   std::vector<std::pair<NodeId, std::vector<wire::DeltaEntry>>> nodes;
   std::vector<wire::DeltaEntry> local;
   std::size_t remote_armed = 0;
-  for (const auto& p : owner_->participants_snapshot()) {
+  for (const auto& p : owner->participants_snapshot()) {
     if (const auto* rpc = dynamic_cast<const RpcParticipant*>(p.get())) {
       if (!rpc->armed()) continue;
       ++remote_armed;
@@ -894,8 +836,9 @@ bool CoordinatorLogParticipant::decide_delta(const Uid& action) {
 }
 
 void CoordinatorLogParticipant::finish_delta(const Uid& action) {
-  if (!delta_logged_ || owner_ == nullptr) return;
-  for (const auto& p : owner_->participants_snapshot()) {
+  AtomicAction* owner = owner_.load(std::memory_order_relaxed);
+  if (!delta_logged_ || owner == nullptr) return;
+  for (const auto& p : owner->participants_snapshot()) {
     if (const auto* rpc = dynamic_cast<const RpcParticipant*>(p.get())) {
       if (rpc->armed() && !rpc->delta_acked()) return;  // reconciliation re-ships
     }

@@ -25,6 +25,7 @@
 // actions so inherited state is eventually resolved at the server.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -168,14 +169,6 @@ class ParticipantTable {
   // Removes a held mirror from the table for good.
   void retire(const Uid& action, Mirror& mirror);
   void abort_held(const Uid& action, Mirror& mirror);
-
-  // Lands every per-store batch through `cover`: concurrently on the runtime
-  // executor when parallel termination is on and more than one store is
-  // involved, else serially. std::exception failures surface as-is (prepare
-  // vetoes); anything else — a simulated kill — tunnels out unwrapped.
-  void write_shadow_batches(
-      std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>>& batches,
-      const ShadowCover& cover);
 
   void write_marker(const Uid& action, NodeId coordinator,
                     const std::vector<std::pair<Uid, Colour>>& prepared,
@@ -321,7 +314,10 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
 
   // The fast path needs the owning action to enumerate co-participants;
   // set at every creation site (invoke, remote_lock, heir propagation).
-  void set_owner(AtomicAction& owner) { owner_ = &owner; }
+  // Invokes of one action may run on several threads at once (a replica
+  // group's write_all), each storing the same owner; termination reads it
+  // after joining them.
+  void set_owner(AtomicAction& owner) { owner_.store(&owner, std::memory_order_relaxed); }
 
   [[nodiscard]] const std::vector<NodeId>& witnesses() const { return witnesses_; }
 
@@ -360,7 +356,7 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
  private:
   Runtime& rt_;
   DistNode* node_ = nullptr;
-  AtomicAction* owner_ = nullptr;   // set by set_owner; needed by the fast path
+  std::atomic<AtomicAction*> owner_{nullptr};  // set by set_owner; needed by the fast path
   std::vector<NodeId> witnesses_;
   bool decided_ = false;            // decide_commit wrote + sealed the record
   bool delta_logged_ = false;       // decide_delta wrote a Delta record

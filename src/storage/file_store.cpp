@@ -129,10 +129,6 @@ void FileStore::write_atomically(const fs::path& path, const ObjectState& state,
 }
 
 void FileStore::write_batch(const std::vector<ObjectState>& states, WriteKind kind) {
-  if (!options_.group_commit) {
-    ObjectStore::write_batch(states, kind);
-    return;
-  }
   const std::scoped_lock lock(mutex_);
   for (const ObjectState& state : states) {
     const fs::path path =

@@ -47,12 +47,6 @@ class FileStore final : public ObjectStore {
     bool fsync_before_rename = false;
     // Run the stale-artifact sweep when the store is opened.
     bool scavenge_on_open = true;
-    // Group commit for write_batch(): each file still gets its own data
-    // fsync, but the per-write directory fsync is coalesced into a single
-    // directory-wide barrier after the batch's renames — N+1 fsyncs for an
-    // N-write prepare batch instead of 2N. Only meaningful together with
-    // fsync_before_rename.
-    bool group_commit = true;
     // Fault-injection hook in the FaultyStore tradition: replaces ::fsync
     // for this store. A non-zero return is a failed flush (DurabilityError,
     // counted in Stats::fsync_failures). Tests use this to prove a failed
@@ -78,8 +72,10 @@ class FileStore final : public ObjectStore {
   bool remove(const Uid& uid) override;
   [[nodiscard]] std::vector<Uid> uids() const override;
 
-  // Group-committed batch (see Options::group_commit); falls back to the
-  // sequential default when group commit is off.
+  // Group commit: each file still gets its own data fsync, but the
+  // per-write directory fsync is coalesced into a single directory-wide
+  // barrier after the batch's renames — N+1 fsyncs for an N-write batch
+  // instead of 2N (with fsync_before_rename).
   void write_batch(const std::vector<ObjectState>& states, WriteKind kind) override;
 
   void write_shadow(const ObjectState& state) override;

@@ -1,7 +1,11 @@
 #include "storage/object_store.h"
 
 #include <algorithm>
+#include <exception>
+#include <latch>
 #include <utility>
+
+#include "common/executor.h"
 
 namespace mca {
 namespace {
@@ -38,6 +42,63 @@ DeferToNextWrite::DeferToNextWrite() noexcept { ++tls_deferred.forward_depth; }
 DeferToNextWrite::~DeferToNextWrite() { --tls_deferred.forward_depth; }
 
 bool DeferToNextWrite::active() noexcept { return tls_deferred.forward_depth > 0; }
+
+void ShadowBatches::add(ObjectStore& store, ObjectState state) {
+  auto it = std::find_if(batches_.begin(), batches_.end(),
+                         [&](const auto& batch) { return batch.first == &store; });
+  if (it == batches_.end()) {
+    batches_.emplace_back(&store, std::vector<ObjectState>{});
+    it = std::prev(batches_.end());
+  }
+  it->second.push_back(std::move(state));
+}
+
+void ShadowBatches::discard() const {
+  for (const auto& [store, states] : batches_) {
+    for (const ObjectState& state : states) store->discard_shadow(state.uid());
+  }
+}
+
+void ShadowCover::write(const ShadowBatches& batches, Executor& executor) const {
+  const auto& all = batches.batches_;
+  if (all.empty()) return;
+  if (all.size() == 1) {
+    write(*all[0].first, all[0].second);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(all.size());
+  std::latch done(static_cast<std::ptrdiff_t>(all.size() - 1));
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    auto work = [&, i] {
+      try {
+        write(*all[i].first, all[i].second);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+      done.count_down();
+    };
+    if (!executor.try_submit(work)) work();
+  }
+  try {
+    write(*all[0].first, all[0].second);
+  } catch (...) {
+    errors[0] = std::current_exception();
+  }
+  done.wait();
+
+  // A std::exception is a veto. Anything else (a simulated kill) is not
+  // caught here and leaves at once, so no veto can swallow a kill.
+  std::exception_ptr veto;
+  for (const std::exception_ptr& error : errors) {
+    if (!error) continue;
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception&) {
+      if (!veto) veto = error;
+    }
+  }
+  if (veto) std::rethrow_exception(veto);
+}
 
 void ShadowCover::write(ObjectStore& store, const std::vector<ObjectState>& states) const {
   if (!covers(store)) {

@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/object_state.h"
@@ -34,6 +35,7 @@ enum class StorageClass { Stable, Volatile };
 // Which side of the store a batched write lands on.
 enum class WriteKind { Committed, Shadow };
 
+class Executor;
 class ObjectStore;
 
 // The two covers (DESIGN.md §5.4, §5.6): a write that a record in the SAME
@@ -137,6 +139,20 @@ class ObjectStore {
   virtual void wake_deferred() {}
 };
 
+// One commit's prepare shadows, one batch per store in first-seen order, so
+// that each store takes its share in a single write_batch call.
+class ShadowBatches {
+ public:
+  void add(ObjectStore& store, ObjectState state);
+  // The failure path: drops every shadow add() named (one that never landed
+  // discards as a no-op).
+  void discard() const;
+
+ private:
+  friend class ShadowCover;
+  std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>> batches_;
+};
+
 // The same-store rule (DESIGN.md §5.4): a record covers only the shadows in
 // its own store. One commit's shadow writes go through a ShadowCover at both
 // ends, so the rule lives in one place: at prepare a batch in the covering
@@ -151,9 +167,15 @@ class ShadowCover {
   explicit ShadowCover(ObjectStore* covering) : covering_(covering) {}
 
   [[nodiscard]] bool covers(const ObjectStore& store) const { return &store == covering_; }
-  // Prepare: writes one store's shadow batch. In the covering store it
-  // only queues; the caller's covering write there carries it.
-  void write(ObjectStore& store, const std::vector<ObjectState>& states) const;
+  // Prepare, for coordinator and participant alike: writes every batch. In
+  // the covering store a batch only queues; the caller's covering write
+  // there carries it. Batch 0 runs on the calling thread and the others on
+  // `executor`'s normal lane (inline when it refuses), so independent
+  // stores write concurrently; returns once all have. A failed batch may be
+  // partly written. If any batch threw something that is not a
+  // std::exception (a simulated kill), that is rethrown, even when another
+  // batch vetoed; otherwise the first std::exception (a veto) is.
+  void write(const ShadowBatches& batches, Executor& executor) const;
   // Phase two: a shadow outside the covering store is promoted at once,
   // waiting for its flush; one in it is held for promote(), which the caller
   // runs inside the covering record's DeferDurability scope.
@@ -161,6 +183,8 @@ class ShadowCover {
   void promote() const;
 
  private:
+  void write(ObjectStore& store, const std::vector<ObjectState>& states) const;
+
   ObjectStore* covering_;
   std::vector<Uid> held_;
 };

@@ -8,8 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,13 +31,6 @@ NetworkConfig fast_config() {
   c.max_delay = std::chrono::microseconds(100);
   return c;
 }
-
-// RAII guard so a test that flips the global termination ablation toggle
-// cannot leak its setting into other tests.
-struct ParallelTerminationGuard {
-  explicit ParallelTerminationGuard(bool on) { AtomicAction::set_parallel_termination(on); }
-  ~ParallelTerminationGuard() { AtomicAction::set_parallel_termination(true); }
-};
 
 // -- RpcFuture / call_async ---------------------------------------------------
 
@@ -379,8 +374,9 @@ TEST(ParallelTermination, VetoShortCircuitsAndCancelsStragglers) {
   // joining cleanly).
 }
 
-TEST(ParallelTermination, SerialAblationPathStillWorks) {
-  const ParallelTerminationGuard guard(/*on=*/false);
+TEST(ParallelTermination, LocalParticipantsRunInRegistrationOrder) {
+  // Local participants have nothing to overlap: the default start_* runs
+  // each blocking call inline, so the protocol order is registration order.
   Runtime rt;
   std::vector<std::string> journal;
   std::mutex mutex;
@@ -415,6 +411,119 @@ TEST(ParallelTermination, DuplicateParticipantKeyIsDroppedNotDoubled) {
 
   EXPECT_TRUE(usurper->events().empty());
   EXPECT_EQ(original->events().size(), 2u);  // prepare + commit
+}
+
+// Counts the start_* calls of one kind that have arrived and wakes whoever
+// waits for all of them.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int expected) : expected_(expected) {}
+
+  // Notes one arrival; the last one fires every registered callback.
+  void arrive() {
+    std::vector<std::function<void(bool)>> fire;
+    {
+      const std::scoped_lock lock(mutex_);
+      if (++arrived_ == expected_) fire.swap(callbacks_);
+    }
+    cv_.notify_all();
+    for (auto& fn : fire) fn(true);
+  }
+
+  // True once every call has arrived; false if the bounded wait ran out.
+  bool wait() {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, kBound, [&] { return arrived_ == expected_; });
+  }
+
+  void subscribe(std::function<void(bool)> fn) {
+    {
+      const std::scoped_lock lock(mutex_);
+      if (arrived_ != expected_) {
+        callbacks_.push_back(std::move(fn));
+        return;
+      }
+    }
+    fn(true);
+  }
+
+ private:
+  // Long enough for any honest kernel, short enough that a kernel which
+  // awaits an exchange before starting the next fails quickly instead of
+  // hanging.
+  static constexpr std::chrono::seconds kBound{2};
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int expected_;
+  int arrived_ = 0;
+  std::vector<std::function<void(bool)>> callbacks_;
+};
+
+// A participant whose exchanges finish only once every participant's
+// exchange of the same kind has started: its vote is yes only if all
+// prepares arrived, and it records whether all commits did.
+class RendezvousParticipant : public TerminationParticipant {
+ public:
+  RendezvousParticipant(Rendezvous& prepares, Rendezvous& commits)
+      : prepares_(prepares), commits_(commits) {}
+
+  bool prepare(const Uid& action, const std::vector<Colour>& colours) override {
+    return start_prepare(action, colours).wait();
+  }
+  void commit(const Uid& action, const std::vector<ColourDisposition>& dispositions) override {
+    (void)start_commit(action, dispositions).wait();
+  }
+  void abort(const Uid&) override {}
+
+  Pending start_prepare(const Uid&, const std::vector<Colour>&) override {
+    prepares_.arrive();
+    return Pending{[this] { return prepares_.wait(); }, nullptr,
+                   [this](std::function<void(bool)> fn) { prepares_.subscribe(std::move(fn)); }};
+  }
+  Pending start_commit(const Uid&, const std::vector<ColourDisposition>&) override {
+    commits_.arrive();
+    // The kernel may call wait again when it drains; only the first call
+    // tells whether the exchange was awaited before every commit started.
+    return Pending{[this] {
+                     const bool all_started = commits_.wait();
+                     if (!commit_awaited_.exchange(true)) overlapped_commits_.store(all_started);
+                     return true;
+                   },
+                   nullptr,
+                   [this](std::function<void(bool)> fn) { commits_.subscribe(std::move(fn)); }};
+  }
+
+  [[nodiscard]] bool overlapped_commits() const { return overlapped_commits_.load(); }
+
+ private:
+  Rendezvous& prepares_;
+  Rendezvous& commits_;
+  std::atomic<bool> commit_awaited_{false};
+  std::atomic<bool> overlapped_commits_{false};
+};
+
+TEST(ParallelTermination, EveryExchangeStartsBeforeAnyIsAwaited) {
+  // Each participant holds its vote, then its phase-two completion, until
+  // all N start_* calls of that phase have arrived. A kernel that awaited
+  // one exchange before starting the next would see its first vote run
+  // out the bounded wait and come back no.
+  constexpr int kParticipants = 4;
+  Runtime rt;
+  Rendezvous prepares(kParticipants);
+  Rendezvous commits(kParticipants);
+  std::vector<std::shared_ptr<RendezvousParticipant>> participants;
+  AtomicAction a(rt);
+  a.begin();
+  for (int i = 0; i < kParticipants; ++i) {
+    participants.push_back(std::make_shared<RendezvousParticipant>(prepares, commits));
+    a.add_participant(participants.back(), "p" + std::to_string(i));
+  }
+  ASSERT_EQ(a.commit(), Outcome::Committed);
+  for (int i = 0; i < kParticipants; ++i) {
+    EXPECT_TRUE(participants[static_cast<std::size_t>(i)]->overlapped_commits())
+        << "participant " << i << " finished phase two before every commit had started";
+  }
 }
 
 // -- distributed multi-participant commit -------------------------------------
@@ -454,18 +563,6 @@ TEST(ParallelTermination, FourRemoteParticipantsCommitAtomically) {
   }
   for (std::size_t i = 0; i < cluster.nodes.size(); ++i) {
     EXPECT_EQ(cluster.stable_value(i), kRounds) << "node " << i;
-  }
-}
-
-TEST(ParallelTermination, FourRemoteParticipantsCommitSerially) {
-  const ParallelTerminationGuard guard(/*on=*/false);
-  Cluster cluster(4);
-  AtomicAction a(cluster.client.runtime());
-  a.begin();
-  for (auto& proxy : cluster.proxies) proxy.add(1);
-  ASSERT_EQ(a.commit(), Outcome::Committed);
-  for (std::size_t i = 0; i < cluster.nodes.size(); ++i) {
-    EXPECT_EQ(cluster.stable_value(i), 1) << "node " << i;
   }
 }
 

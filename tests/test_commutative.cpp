@@ -71,11 +71,6 @@ struct TempDir {
   }
 };
 
-// Restores the process-global fast-path switch whatever the test does.
-struct FastpathGuard {
-  ~FastpathGuard() { AtomicAction::set_commutative_fastpath(true); }
-};
-
 constexpr std::int64_t kInitial = 100;
 constexpr std::int64_t kDelta = 5;
 
@@ -193,30 +188,6 @@ TEST(CommutativeCommit, SingleSiteFastPathSkipsTheDeltaRecord) {
   EXPECT_EQ(counter.delta_chain_length(), 1u);
   EXPECT_TRUE(CoordinatorLogParticipant::logged_actions(rt).empty());
   EXPECT_FALSE(CoordinatorLogParticipant::read_record(rt, action).has_value());
-}
-
-TEST(CommutativeCommit, AblationSwitchFallsBackToClassical2PC) {
-  // The same three-node workload with the fast path off: classical 2PC,
-  // same values — and the sealed decision record proves which path ran.
-  FastpathGuard guard;
-  AtomicAction::set_commutative_fastpath(false);
-  DeltaCluster cl("ablation");
-  Uid action;
-  {
-    AtomicAction act(cl.c.runtime());
-    act.begin();
-    action = act.uid();
-    cl.local.add(kDelta);
-    RemoteCounter ra(cl.c, cl.p1.id(), cl.a.uid());
-    RemoteCounter rb(cl.c, cl.p2.id(), cl.b.uid());
-    ra.add(kDelta);
-    rb.add(kDelta);
-    ASSERT_EQ(act.commit(), Outcome::Committed);
-  }
-  EXPECT_EQ(DeltaCluster::committed(cl.c.runtime(), cl.local), kInitial + kDelta);
-  EXPECT_EQ(DeltaCluster::committed(cl.p1.runtime(), cl.a), kInitial + kDelta);
-  EXPECT_EQ(DeltaCluster::committed(cl.p2.runtime(), cl.b), kInitial + kDelta);
-  EXPECT_TRUE(CoordinatorLogParticipant::committed(cl.c.runtime(), action));
 }
 
 TEST(CommutativeCommit, RetransmittedBatchDedupsAgainstTheChain) {

@@ -703,16 +703,23 @@ TEST(LazyPhaseTwo, CommittedCoordinatorRedoesLostPromotionFromItsSealedRecord) {
 class CrashRecoveryWindows : public ::testing::Test {
  protected:
   // Kills node 2 in phase two with the decision durable, leaving it in
-  // doubt; returns the action uid. The setup transfer runs on the serial
-  // termination path: parallel fan-out races both participants' phase-two
-  // handlers at the armed window, so skip=0 would kill whichever node's
-  // handler reaches it first — this fixture needs it to be node 2.
+  // doubt; returns the action uid. Phase two starts both participants'
+  // tx.commit at once, so skip=0 alone would kill whichever node's handler
+  // reaches the window first — this fixture needs it to be node 2. So the
+  // coordinator cuts its link to node 3 on the way into phase two (a crash
+  // point that acts instead of killing), and the link heals as node 2
+  // dies: node 3's retransmitted tx.commit can only arrive after the
+  // window has fired and disarmed.
   Uid kill_p1_in_doubt(Cluster& cl) {
-    AtomicAction::set_parallel_termination(false);
     crash_points::reset();
-    crash_points::arm("tpc.participant.commit.pre_promote", 0);
+    crash_points::arm("tpc.coord.post_log_pre_phase2", 0,
+                      [&] { cl.net.partition(cl.c.id(), cl.p2.id()); });
+    crash_points::arm("tpc.participant.commit.pre_promote", 0, [&] {
+      cl.net.heal(cl.c.id(), cl.p2.id());
+      throw CrashPointHit("tpc.participant.commit.pre_promote");
+    });
     const Uid action = cl.run_transfer();
-    AtomicAction::set_parallel_termination(true);
+    EXPECT_FALSE(cl.net.partitioned(cl.c.id(), cl.p2.id()));
     EXPECT_EQ(crash_points::last_fired().value_or("<none>"),
               "tpc.participant.commit.pre_promote");
     EXPECT_FALSE(cl.p1.up());

@@ -383,7 +383,6 @@ TEST(RuntimeSpine, ParallelPrepareKillTunnelsOutOfCommit) {
     RecoverableInt in_a(rt, store_a);
     RecoverableInt in_b(rt, store_b);
 
-    ASSERT_TRUE(AtomicAction::parallel_termination());
     crash_points::reset();
     crash_points::arm("store.file.write.pre_rename");
     AtomicAction action(rt);

@@ -578,9 +578,8 @@ TEST_F(WalTest, ParticipantPrepareIsOneFlush) {
   EXPECT_EQ(voting - entering, 1u);
 }
 
-// The coordinator's side: its default-store shadows only queue at prepare,
-// on the serial termination path as on the parallel one, and ride the
-// decision record's flush.
+// The coordinator's side: its default-store shadows only queue at prepare
+// and ride the decision record's flush.
 TEST_F(WalTest, CoordinatorPrepareShadowsOnlyQueue) {
   NetworkConfig config;
   config.min_delay = std::chrono::microseconds(10);
@@ -594,26 +593,22 @@ TEST_F(WalTest, CoordinatorPrepareShadowsOnlyQueue) {
   participant.host(a);
   store.write(make_state(Uid(), "warm"));  // the committer is running, idle
 
-  for (const bool parallel : {true, false}) {
-    AtomicAction::set_parallel_termination(parallel);
-    crash_points::reset();
-    std::uint64_t sending = 0;
-    crash_points::arm("tpc.coord.phase1.pre_send", 0, [&] { sending = store.stats().flushes; });
-    ASSERT_TRUE(store.fsck().empty());  // drains the previous commit's lazy append
-    AtomicAction act(coordinator.runtime());
-    act.begin();
-    z.add(-10);
-    RemoteInt(coordinator, participant.id(), a.uid()).add(10);
-    const std::uint64_t before = store.stats().flushes;
-    EXPECT_EQ(act.commit(), Outcome::Committed);
-    EXPECT_EQ(crash_points::fire_count("tpc.coord.phase1.pre_send"), 1u);
-    EXPECT_EQ(sending, before) << "parallel termination " << parallel;
-    EXPECT_GT(store.stats().flushes, sending);
-  }
-  AtomicAction::set_parallel_termination(true);
+  crash_points::reset();
+  std::uint64_t sending = 0;
+  crash_points::arm("tpc.coord.phase1.pre_send", 0, [&] { sending = store.stats().flushes; });
+  ASSERT_TRUE(store.fsck().empty());
+  AtomicAction act(coordinator.runtime());
+  act.begin();
+  z.add(-10);
+  RemoteInt(coordinator, participant.id(), a.uid()).add(10);
+  const std::uint64_t before = store.stats().flushes;
+  EXPECT_EQ(act.commit(), Outcome::Committed);
+  EXPECT_EQ(crash_points::fire_count("tpc.coord.phase1.pre_send"), 1u);
+  EXPECT_EQ(sending, before);
+  EXPECT_GT(store.stats().flushes, sending);
   crash_points::reset();
   ByteBuffer committed = store.read(z.uid())->state();
-  EXPECT_EQ(committed.unpack_i64(), 80);
+  EXPECT_EQ(committed.unpack_i64(), 90);
 }
 
 // One action's prepare parked in its marker's flush holds up no other action
