@@ -1,27 +1,23 @@
 // Crash-sweep machinery costs (robustness issue, experiment A8): what the
 // always-on integrity and crash-testing hooks cost when nothing is failing.
 //
-//   * BM_EncodeChecked / BM_EncodeUnchecked — ObjectState's CRC-32 + magic
-//     header vs the bare body encoding, by state size;
 //   * BM_UnarmedCrashPoint — one MCA_CRASHPOINT() with nothing armed (a
 //     relaxed atomic load and a not-taken branch);
 //   * BM_RestartRecoveryByMarkers — wall time of DistNode::restart()'s
 //     synchronous recovery pass by number of in-doubt prepared markers on
-//     disk, with a live coordinator answering presumed-abort. Re-baselined
-//     on WalStore, the default durable backend since PR 8 — marker reads
-//     and drops go through the group-committed log, not per-file renames;
-//   * the shape report — the checksum's share of a full committed write
-//     (the number the "<2% on the store-write path" claim is about), on
-//     both backends: FileStore's temp-file + rename and WalStore's framed
-//     append.
+//     disk, with a live coordinator answering presumed-abort; marker reads
+//     and drops go through the node's WalStore;
+//   * the shape report — the share of a full committed WalStore write
+//     (framed log append) that the frame's CRC-32 costs, by state size,
+//     with and without fsync.
 #include "bench_common.h"
 
 #include <chrono>
 #include <filesystem>
 
+#include "common/checksum.h"
 #include "dist/remote.h"
 #include "sim/crash_points.h"
-#include "storage/file_store.h"
 #include "storage/wal_store.h"
 #include "sim/network.h"
 
@@ -44,24 +40,6 @@ ObjectState state_of_size(const Uid& uid, std::size_t body_bytes) {
   }
   return ObjectState(uid, "Bench", std::move(b));
 }
-
-void BM_EncodeChecked(benchmark::State& state) {
-  const ObjectState s = state_of_size(Uid(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.encode());
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EncodeChecked)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_EncodeUnchecked(benchmark::State& state) {
-  const ObjectState s = state_of_size(Uid(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.encode_unchecked());
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EncodeUnchecked)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_UnarmedCrashPoint(benchmark::State& state) {
   crash_points::reset();
@@ -122,19 +100,16 @@ BENCHMARK(BM_RestartRecoveryByMarkers)
 
 }  // namespace
 
-// The claim the sweep issue pins down: the CRC-32 header costs under 2% of
-// a full committed write. Measured directly on both durable backends: time
-// the two encode flavours, a FileStore write (temp file + rename) and a
-// WalStore write (framed log append) over the same states, report the CRC
-// delta as a share of each.
+// What integrity costs on the store-write path: time the body encoding, the
+// CRC-32 over the encoded bodies and a WalStore write (framed log append)
+// of the same states, and report the CRC as a share of the write.
 void checksum_overhead_report() {
   bench::report_header(
-      "checksummed durable states — CRC share of the store-write path",
-      "magic + CRC-32 verification adds <2% to a committed write at the state "
-      "sizes the protocol produces (recoverable objects encode to well under "
-      "1 KiB), on FileStore and on the WalStore default backend alike; the "
-      "share only grows for multi-page states on a fsync-less write, and "
-      "vanishes again once the write fsyncs");
+      "CRC-framed WAL records — CRC share of the store-write path",
+      "the record frame's CRC-32 adds ~1% or less to a committed write of the "
+      "small states recoverable objects produce (tens of bytes) and under 3% "
+      "to any fsynced write up to 4 KiB; on a fsync-less append the share "
+      "grows with the state size");
   const auto dir =
       std::filesystem::temp_directory_path() / ("mca_bench_crc_" + Uid().to_string());
   for (const bool fsync : {false, true}) {
@@ -145,40 +120,30 @@ void checksum_overhead_report() {
       std::vector<ObjectState> states;
       states.reserve(writes);
       for (int i = 0; i < writes; ++i) states.push_back(state_of_size(Uid(), body));
+      std::vector<ByteBuffer> encoded;
+      encoded.reserve(writes);
 
       const auto t0 = std::chrono::steady_clock::now();
-      for (const auto& s : states) benchmark::DoNotOptimize(s.encode_unchecked());
+      for (const auto& s : states) encoded.push_back(s.encode_unchecked());
       const auto t1 = std::chrono::steady_clock::now();
-      for (const auto& s : states) benchmark::DoNotOptimize(s.encode());
+      for (const auto& e : encoded) benchmark::DoNotOptimize(crc32(e.bytes()));
       const auto t2 = std::chrono::steady_clock::now();
-      {
-        FileStore::Options options;
-        options.fsync_before_rename = fsync;
-        FileStore store(dir, options);
-        for (const auto& s : states) store.write(s);
-      }
-      const auto t3 = std::chrono::steady_clock::now();
-      std::filesystem::remove_all(dir);
       {
         WalStore::Options options;
         options.sync = fsync;
         WalStore store(dir, options);
         for (const auto& s : states) store.write(s);
       }
-      const auto t4 = std::chrono::steady_clock::now();
+      const auto t3 = std::chrono::steady_clock::now();
       std::filesystem::remove_all(dir);
 
-      const double bare_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() / writes;
-      const double checked_ns =
-          std::chrono::duration<double, std::nano>(t2 - t1).count() / writes;
-      const double file_ns = std::chrono::duration<double, std::nano>(t3 - t2).count() / writes;
-      const double wal_ns = std::chrono::duration<double, std::nano>(t4 - t3).count() / writes;
-      const double crc_ns = checked_ns - bare_ns;
+      const double encode_ns =
+          std::chrono::duration<double, std::nano>(t1 - t0).count() / writes;
+      const double crc_ns = std::chrono::duration<double, std::nano>(t2 - t1).count() / writes;
+      const double wal_ns = std::chrono::duration<double, std::nano>(t3 - t2).count() / writes;
       std::printf(
-          "    body %5zu B: encode %6.0f ns, +crc %6.0f ns, file write %9.0f ns"
-          " (crc %.2f%%), wal append %9.0f ns (crc %.2f%%)\n",
-          body, bare_ns, crc_ns, file_ns, 100.0 * crc_ns / file_ns, wal_ns,
-          100.0 * crc_ns / wal_ns);
+          "    body %5zu B: encode %6.0f ns, crc %6.0f ns, wal append %9.0f ns (crc %.2f%%)\n",
+          body, encode_ns, crc_ns, wal_ns, 100.0 * crc_ns / wal_ns);
     }
   }
 }

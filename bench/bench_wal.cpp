@@ -1,24 +1,21 @@
-// WAL vs per-object snapshots (DESIGN.md §5.6): the cost of making a commit
+// The WAL's group commit (DESIGN.md §5.6): the cost of making a commit
 // durable.
 //
 // The workload is the store traffic one committed action generates: a batch
 // of K object states made durable in one call (write_batch, Committed).
-// FileStore runs in its strongest honest configuration — fsync_before_rename
-// on, so its group-committed write_batch costs K data fsyncs plus one
-// directory barrier for a K-write batch. WalStore frames the same batch into one record run,
-// appends it with a single write, and issues a single fsync.
+// WalStore frames the batch into one record run, appends it with a single
+// write, and issues a single fsync.
 //
 // Three sections:
-//   * throughput — single-writer commits/sec at batch 4, both backends; the
-//     acceptance gate is >= 5x for the WAL (>= 2.5x in --smoke mode, which
-//     runs far fewer iterations on a possibly loaded CI box),
-//   * fsyncs per commit at batch sizes 1/4/8/16 — measured from each store's
-//     own Stats counters, gated at <= 1.25 for the WAL from batch 4 up
-//     (the "one barrier per commit" property the design promises),
-//   * concurrent writers — 8 threads of single-object commits against the
-//     WAL; cross-transaction group commit coalesces their flushes, so
-//     fsyncs-per-commit drops *below* one. Reported, not gated: the exact
-//     coalescing factor is scheduler-dependent.
+//   * throughput — single-writer commits/sec at batch 4. Reported, not
+//     gated: an absolute rate depends on the disk under the temp directory,
+//   * fsyncs per commit at batch sizes 1/4/8/16 — measured from the store's
+//     own Stats counters, gated at <= 1.25 from batch 4 up (the "one barrier
+//     per commit" property the design promises),
+//   * concurrent writers — 8 threads of single-object commits; cross-
+//     transaction group commit coalesces their flushes, so fsyncs-per-commit
+//     drops *below* one. Reported, not gated: the exact coalescing factor is
+//     scheduler-dependent.
 //
 // Emits BENCH_wal.json and exits non-zero on a missed gate so CI catches a
 // regression of the group-commit path.
@@ -31,7 +28,6 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "storage/file_store.h"
 #include "storage/wal_store.h"
 
 namespace mca {
@@ -64,15 +60,8 @@ std::vector<ObjectState> make_batch(const std::vector<Uid>& uids, int iter) {
   return batch;
 }
 
-FileStore::Options durable_file_options() {
-  FileStore::Options o;
-  o.fsync_before_rename = true;  // honest durability, like the WAL's fsync
-  return o;
-}
-
 // Runs `iters` single-writer batch commits, returns commits per second.
-template <typename StoreT>
-double commits_per_sec(StoreT& store, int batch_size, int iters) {
+double commits_per_sec(WalStore& store, int batch_size, int iters) {
   std::vector<Uid> uids(static_cast<std::size_t>(batch_size));
   for (int warm = 0; warm < 3; ++warm) {
     store.write_batch(make_batch(uids, -1 - warm), WriteKind::Committed);
@@ -87,8 +76,7 @@ double commits_per_sec(StoreT& store, int batch_size, int iters) {
 }
 
 // fsyncs per commit over `iters` batch commits, from the store's counters.
-template <typename StoreT>
-double fsyncs_per_commit(StoreT& store, int batch_size, int iters) {
+double fsyncs_per_commit(WalStore& store, int batch_size, int iters) {
   std::vector<Uid> uids(static_cast<std::size_t>(batch_size));
   const auto before = store.stats().fsyncs;
   for (int i = 0; i < iters; ++i) {
@@ -102,45 +90,35 @@ int run(bool smoke, const char* out_path) {
   const int throughput_iters = smoke ? 150 : 1500;
   const int fsync_iters = smoke ? 40 : 200;
   const int concurrent_writes = smoke ? 50 : 400;
-  const double speedup_threshold = smoke ? 2.5 : 5.0;
   constexpr double kFsyncGate = 1.25;  // "≈ 1" with headroom for a stray barrier
   constexpr int kGateBatch = 4;
 
-  std::printf("=== §5.6 — WAL group commit vs per-object snapshots (%s) ===\n",
-              smoke ? "smoke" : "full");
+  std::printf("=== §5.6 — WAL group commit (%s) ===\n", smoke ? "smoke" : "full");
 
   // --- throughput at batch 4 ------------------------------------------------
-  double file_cps = 0.0, wal_cps = 0.0;
+  double wal_cps = 0.0;
   {
     ScratchDir dir("throughput");
-    FileStore files(dir.path / "file", durable_file_options());
     WalStore wal(dir.path / "wal");
-    file_cps = commits_per_sec(files, kGateBatch, throughput_iters);
     wal_cps = commits_per_sec(wal, kGateBatch, throughput_iters);
   }
-  const double speedup = wal_cps / file_cps;
-  std::printf("%-22s %14s %14s %10s\n", "throughput (batch 4)", "file c/s", "wal c/s",
-              "speedup");
-  std::printf("%-22s %14.0f %14.0f %9.2fx\n", "", file_cps, wal_cps, speedup);
+  std::printf("%-22s %14s\n", "throughput (batch 4)", "wal c/s");
+  std::printf("%-22s %14.0f\n", "", wal_cps);
 
   // --- fsyncs per commit vs batch size ---------------------------------------
-  std::printf("%-22s %14s %14s\n", "batch size", "file fsync/c", "wal fsync/c");
+  std::printf("%-22s %14s\n", "batch size", "wal fsync/c");
   bench::Json fsync_points = bench::Json::array();
   double wal_fsyncs_at_gate = 0.0;
   bool fsync_gate_pass = true;
   for (const int batch : {1, 4, 8, 16}) {
     ScratchDir dir("fsync_b" + std::to_string(batch));
-    FileStore files(dir.path / "file", durable_file_options());
     WalStore wal(dir.path / "wal");
-    const double file_fpc = fsyncs_per_commit(files, batch, fsync_iters);
     const double wal_fpc = fsyncs_per_commit(wal, batch, fsync_iters);
     if (batch == kGateBatch) wal_fsyncs_at_gate = wal_fpc;
     if (batch >= kGateBatch && wal_fpc > kFsyncGate) fsync_gate_pass = false;
-    std::printf("%-22d %14.2f %14.2f\n", batch, file_fpc, wal_fpc);
-    fsync_points.push(bench::Json::object()
-                          .set("batch", batch)
-                          .set("file_fsyncs_per_commit", file_fpc)
-                          .set("wal_fsyncs_per_commit", wal_fpc));
+    std::printf("%-22d %14.2f\n", batch, wal_fpc);
+    fsync_points.push(
+        bench::Json::object().set("batch", batch).set("wal_fsyncs_per_commit", wal_fpc));
   }
 
   // --- cross-transaction group commit under concurrency ----------------------
@@ -170,18 +148,14 @@ int run(bool smoke, const char* out_path) {
     std::printf("%-22s %14d %14.3f\n", "concurrent writers", kThreads, concurrent_fpc);
   }
 
-  const bool speedup_pass = speedup >= speedup_threshold;
-  const bool pass = speedup_pass && fsync_gate_pass;
+  const bool pass = fsync_gate_pass;
 
   bench::Json result = bench::Json::object();
   result.set("bench", "wal")
       .set("experiment", "§5.6 group-committed write-ahead log")
       .set("mode", smoke ? "smoke" : "full")
       .set("batch_size", kGateBatch)
-      .set("file_commits_per_sec", file_cps)
       .set("wal_commits_per_sec", wal_cps)
-      .set("speedup", speedup)
-      .set("speedup_threshold", speedup_threshold)
       .set("fsyncs_per_commit", std::move(fsync_points))
       .set("wal_fsyncs_per_commit_at_batch_4", wal_fsyncs_at_gate)
       .set("fsync_gate", kFsyncGate)
@@ -189,8 +163,6 @@ int run(bool smoke, const char* out_path) {
       .set("pass", pass);
   result.write_file(out_path);
 
-  std::printf("speedup: %.2fx (threshold %.1fx) — %s\n", speedup, speedup_threshold,
-              speedup_pass ? "PASS" : "FAIL");
   std::printf("wal fsyncs/commit at batch >= %d: %.2f (gate %.2f) — %s\n", kGateBatch,
               wal_fsyncs_at_gate, kFsyncGate, fsync_gate_pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;

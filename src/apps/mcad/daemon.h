@@ -70,8 +70,7 @@ struct DaemonConfig {
   NodeId id = 0;
   // Full deployment map (this node included); what UdpTransport binds/sends.
   std::unordered_map<NodeId, UdpAddress> peers;
-  std::filesystem::path data_dir;
-  StoreBackend backend = StoreBackend::Wal;
+  std::filesystem::path data_dir;  // the node's WalStore
   // Witness nodes mirroring commit decisions this node coordinates.
   std::vector<NodeId> witnesses;
   // key → initial value. Objects are created durably on first boot and

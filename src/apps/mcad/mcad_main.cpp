@@ -3,9 +3,11 @@
 // Usage:
 //   mcad --id 1 --data /var/lib/mca/node1 \
 //        --peers "1=127.0.0.1:9001,2=127.0.0.1:9002,3=127.0.0.1:9003" \
-//        [--store wal|file|memory] [--witnesses "2,3"] \
-//        [--ints "10=100,11=0"] [--blobs "20,21"] [--workers 8] \
-//        [--invoke-timeout-ms 4000] [--tpc-timeout-ms 1000]
+//        [--witnesses "2,3"] [--ints "10=100,11=0"] [--blobs "20,21"] \
+//        [--workers 8] [--invoke-timeout-ms 4000] [--tpc-timeout-ms 1000]
+//
+// The node's durable store is a WalStore in the --data directory; a process
+// started over an existing directory is a restarted node and replays it.
 //
 // The process serves until ctl.shutdown arrives (exit 0) or it is killed.
 // README "Running a real cluster" walks through a full example.
@@ -21,8 +23,8 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --id N --data DIR --peers \"id=host:port,...\"\n"
-               "          [--store wal|file|memory] [--witnesses \"id,...\"]\n"
-               "          [--ints \"key=initial,...\"] [--blobs \"key,...\"] [--workers N]\n"
+               "          [--witnesses \"id,...\"] [--ints \"key=initial,...\"]\n"
+               "          [--blobs \"key,...\"] [--workers N]\n"
                "          [--invoke-timeout-ms N] [--tpc-timeout-ms N]\n",
                argv0);
   return 2;
@@ -53,11 +55,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--peers") {
         config.peers = parse_peer_map(value());
         have_peers = true;
-      } else if (arg == "--store") {
-        const std::string name = value();
-        const auto backend = store_backend_from_string(name);
-        if (!backend) throw std::invalid_argument("unknown store backend '" + name + "'");
-        config.backend = *backend;
       } else if (arg == "--witnesses") {
         config.witnesses = parse_node_list(value());
       } else if (arg == "--ints") {

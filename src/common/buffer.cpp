@@ -7,7 +7,7 @@ namespace mca {
 namespace {
 
 // All multi-byte quantities are stored little-endian so that states written
-// by a file store remain readable regardless of host order.
+// to the WAL remain readable regardless of host order.
 template <typename T>
 T to_little_endian(T v) {
   if constexpr (std::endian::native == std::endian::big) {

@@ -478,7 +478,9 @@ Outcome AtomicAction::commit() {
     }
   }
   if (veto) {
-    for (UndoRecord* r : prepared) r->object->store().discard_shadow(r->object->uid());
+    for (UndoRecord* r : prepared) {
+      discard_shadow_best_effort(r->object->store(), r->object->uid());
+    }
     rt_.note_prepare_failure();
     abort();
     return Outcome::Aborted;
@@ -510,7 +512,9 @@ Outcome AtomicAction::commit() {
       }
     }
     if (!decided) {
-      for (UndoRecord* r : prepared) r->object->store().discard_shadow(r->object->uid());
+      for (UndoRecord* r : prepared) {
+        discard_shadow_best_effort(r->object->store(), r->object->uid());
+      }
       rt_.note_prepare_failure();
       abort();
       return Outcome::Aborted;

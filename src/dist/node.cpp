@@ -1,11 +1,11 @@
 #include "dist/node.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
 #include "dist/remote.h"
 #include "sim/crash_points.h"
-#include "storage/file_store.h"
 #include "storage/wal_store.h"
 
 namespace mca {
@@ -53,32 +53,6 @@ std::optional<LockOutcome> decode_lock_failure(const std::string& error) {
 
 }  // namespace
 
-std::string_view to_string(StoreBackend backend) {
-  switch (backend) {
-    case StoreBackend::Wal: return "wal";
-    case StoreBackend::File: return "file";
-    case StoreBackend::Memory: return "memory";
-  }
-  return "wal";
-}
-
-std::optional<StoreBackend> store_backend_from_string(std::string_view name) {
-  if (name == "wal") return StoreBackend::Wal;
-  if (name == "file") return StoreBackend::File;
-  if (name == "memory") return StoreBackend::Memory;
-  return std::nullopt;
-}
-
-std::unique_ptr<ObjectStore> make_node_store(const std::filesystem::path& data_dir,
-                                             StoreBackend backend) {
-  switch (backend) {
-    case StoreBackend::Wal: return std::make_unique<WalStore>(data_dir);
-    case StoreBackend::File: return std::make_unique<FileStore>(data_dir);
-    case StoreBackend::Memory: return std::make_unique<MemoryStore>(StorageClass::Stable);
-  }
-  return std::make_unique<WalStore>(data_dir);
-}
-
 DistNode::DistNode(Transport& transport, NodeId id, ObjectStore* store, std::size_t rpc_workers)
     : id_(id),
       owned_store_(store == nullptr ? std::make_unique<MemoryStore>(StorageClass::Stable)
@@ -94,9 +68,9 @@ DistNode::DistNode(Transport& transport, NodeId id, ObjectStore* store, std::siz
 }
 
 DistNode::DistNode(Transport& transport, NodeId id, const std::filesystem::path& data_dir,
-                   StoreBackend backend, std::size_t rpc_workers)
+                   std::size_t rpc_workers)
     : id_(id),
-      owned_store_(make_node_store(data_dir, backend)),
+      owned_store_(std::make_unique<WalStore>(data_dir)),
       runtime_(std::make_unique<Runtime>(*owned_store_)),
       rpc_(transport, id, rpc_workers, RpcEndpoint::kDefaultReplyCacheCapacity,
            &runtime_->timers()),
@@ -106,7 +80,7 @@ DistNode::DistNode(Transport& transport, NodeId id, const std::filesystem::path&
   // A process booting over an existing data directory is a restarted node:
   // apply the same presumed abort restart() applies, so a shadow orphaned by
   // a crash between prepare's shadow writes and its marker does not survive
-  // the reboot. (Store-level scavenging already ran when the backend opened;
+  // the reboot. (The WAL's own recovery already ran when it opened;
   // surviving in-doubt markers stay for the background recovery daemon.)
   if (const std::size_t dropped = participants_.discard_unreferenced_shadows(); dropped > 0) {
     MCA_LOG(Info, "node") << "boot recovery: discarded " << dropped << " orphan shadow(s)";
@@ -508,6 +482,7 @@ void DistNode::crash() {
   {
     const std::scoped_lock lock(recovery_mutex_);
     recovery_backoff_.clear();  // attempt schedules are volatile state
+    resolving_.reset();
   }
   // Volatile memory: every hosted object falls back to its construction
   // state; the next access re-activates from the stable store.
@@ -521,10 +496,6 @@ void DistNode::crash() {
 
 void DistNode::restart() {
   runtime_->lock_manager().clear();
-  // Storage-level recovery first: sweep the torn-write artifacts (stale
-  // .tmp, stale shadows) a crash can leave, before the protocol looks at
-  // what remains.
-  runtime_->default_store().scavenge();
   rpc_.restart();
   down_.store(false);
   // One synchronous recovery pass: in-doubt actions whose coordinator
@@ -573,6 +544,21 @@ void DistNode::kick_recovery() {
   }
   // Pull the next periodic fire forward to now; the tick consumes the flag.
   runtime_->timers().fire_now(id);
+}
+
+std::size_t DistNode::in_doubt_count() const {
+  std::optional<Uid> resolving;
+  {
+    const std::scoped_lock lock(recovery_mutex_);
+    resolving = resolving_;
+  }
+  // Read after `resolving_`: the pass sets it before it touches the marker
+  // and clears it only once the resolution is counted.
+  const auto entries = participants_.in_doubt();
+  const bool listed =
+      !resolving || std::any_of(entries.begin(), entries.end(),
+                                [&](const auto& e) { return e.action == *resolving; });
+  return entries.size() + (listed ? 0 : 1);
 }
 
 void DistNode::recover_once(bool ignore_backoff) {
@@ -638,6 +624,10 @@ void DistNode::recover_once(bool ignore_backoff) {
       continue;
     }
     const bool committed = status == TxStatus::Committed;
+    {
+      const std::scoped_lock lock(recovery_mutex_);
+      resolving_ = action;
+    }
     try {
       // The verdict is known but nothing durable reflects it yet.
       MCA_CRASHPOINT("node.recovery.post_status_pre_resolve");
@@ -655,6 +645,7 @@ void DistNode::recover_once(bool ignore_backoff) {
       const std::scoped_lock lock(recovery_mutex_);
       ++(committed ? recovery_stats_.resolved_committed : recovery_stats_.resolved_aborted);
       recovery_backoff_.erase(action);
+      resolving_.reset();
     }
     MCA_LOG(Info, "node") << "recovery: action " << action << " resolved as "
                           << (committed ? "committed" : "aborted");
@@ -686,6 +677,10 @@ bool DistNode::resolve_from_witnesses(const ParticipantTable::InDoubtEntry& entr
     }
   }
   if (!committed && !all_fenced) return false;
+  {
+    const std::scoped_lock lock(recovery_mutex_);
+    resolving_ = entry.action;
+  }
   try {
     MCA_CRASHPOINT("node.recovery.post_status_pre_resolve");
     participants_.resolve_prepared(entry.action, committed);
@@ -700,6 +695,7 @@ bool DistNode::resolve_from_witnesses(const ParticipantTable::InDoubtEntry& entr
     ++(committed ? recovery_stats_.resolved_committed : recovery_stats_.resolved_aborted);
     ++recovery_stats_.resolved_from_witness;
     recovery_backoff_.erase(entry.action);
+    resolving_.reset();
   }
   MCA_LOG(Info, "node") << "recovery: action " << entry.action << " resolved as "
                         << (committed ? "committed" : "aborted") << " from "

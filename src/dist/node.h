@@ -59,22 +59,6 @@ class NodeUnreachable : public std::runtime_error {
       : std::runtime_error("node " + std::to_string(node) + " unreachable") {}
 };
 
-// Durable backend choices for a node bound to a data directory. Wal is the
-// production default (group-committed log, replay recovery — DESIGN.md
-// §5.6); File is the explicit opt-out to the per-object snapshot store;
-// Memory is stable-in-RAM for tests and throwaway daemons.
-enum class StoreBackend { Wal, File, Memory };
-
-[[nodiscard]] std::string_view to_string(StoreBackend backend);
-[[nodiscard]] std::optional<StoreBackend> store_backend_from_string(std::string_view name);
-
-// Creates the durable object store a node should run on: a WalStore in
-// `data_dir` unless another backend is explicitly requested. Daemon restarts
-// recover through log replay by default (ROADMAP item 2); Memory ignores
-// `data_dir`.
-[[nodiscard]] std::unique_ptr<ObjectStore> make_node_store(
-    const std::filesystem::path& data_dir, StoreBackend backend = StoreBackend::Wal);
-
 class DistNode {
  public:
   // An operation dispatcher for one object type: run `op` with `args`
@@ -88,11 +72,10 @@ class DistNode {
   DistNode(Transport& transport, NodeId id, ObjectStore* store = nullptr,
            std::size_t rpc_workers = 8);
 
-  // Owning variant: a node bound to a data directory with its durable
-  // backend chosen by `backend` (WalStore unless opted out) — what a real
-  // node daemon runs on.
+  // Owning variant: a node on a WalStore in `data_dir` — what a real node
+  // daemon runs on.
   DistNode(Transport& transport, NodeId id, const std::filesystem::path& data_dir,
-           StoreBackend backend = StoreBackend::Wal, std::size_t rpc_workers = 8);
+           std::size_t rpc_workers = 8);
   ~DistNode();
 
   DistNode(const DistNode&) = delete;
@@ -182,8 +165,12 @@ class DistNode {
   void set_recovery_options(RecoveryOptions options);
   [[nodiscard]] RecoveryOptions recovery_options() const;
   [[nodiscard]] RecoveryStats recovery_stats() const;
-  // Stable prepared markers not yet resolved (in-doubt actions).
-  [[nodiscard]] std::size_t in_doubt_count() const { return participants_.in_doubt_count(); }
+  // In-doubt actions: stable prepared markers not yet resolved, plus the
+  // action a recovery pass is resolving right now. The pass's marker drop
+  // shows in the store before its flush returns and before the action's
+  // locks are released and its resolution counted, so the action stays in
+  // doubt until the pass is done with it.
+  [[nodiscard]] std::size_t in_doubt_count() const;
   // Wakes the daemon now instead of waiting out the current period, and
   // forces an attempt for every in-doubt action regardless of its backoff
   // schedule — the hook for "the partition healed, re-resolve now".
@@ -267,6 +254,7 @@ class DistNode {
       recovery_backoff_;
   bool recovery_kicked_ = false;        // next pass ignores per-action backoff
   bool recovery_pass_running_ = false;  // a daemon pass is queued or running
+  std::optional<Uid> resolving_;        // the action the running pass is resolving
   TimerService::TimerId recovery_timer_ = TimerService::kInvalid;
 };
 

@@ -29,6 +29,15 @@ void complete_call(const std::shared_ptr<RpcCallState>& state, RpcResult result)
   if (callback) callback(state->result);
 }
 
+Executor::Options handler_options(std::size_t workers) {
+  Executor::Options o;
+  o.workers = 1;    // normal lane unused
+  o.max_blocking = workers == 0 ? 1 : workers;
+  o.max_queue = 0;  // try_submit on the unused normal lane always refuses
+  o.name_prefix = "mca-rpc";
+  return o;
+}
+
 // Frees the request of a completed call once no retransmit slot can fire
 // for it any more (outside the lock: a blob request is ~100 KB).
 void drop_request(RpcCallState& state) {
@@ -106,7 +115,7 @@ RpcEndpoint::RpcEndpoint(Transport& transport, NodeId id, std::size_t workers,
       owned_timers_(timers == nullptr ? std::make_unique<TimerService>("mca-rpc-timer")
                                       : nullptr),
       timers_(timers != nullptr ? timers : owned_timers_.get()),
-      pool_(workers) {
+      pool_(handler_options(workers)) {
   gate_->endpoint = this;
   // The handler owns the gate, not the endpoint: a transport that delivers
   // after (or while) the endpoint is torn down finds the gate closed and
@@ -468,7 +477,7 @@ void RpcEndpoint::on_datagram(Datagram d) {
     }
   }
   // Execute off the delivery thread: services may block on locks.
-  if (!pool_.submit([this, d = std::move(d)]() mutable { serve(std::move(d)); })) {
+  if (!pool_.submit_blocking([this, d = std::move(d)]() mutable { serve(std::move(d)); })) {
     const std::scoped_lock lock(mutex_);
     in_progress_.erase(request_id);
   }

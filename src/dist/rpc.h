@@ -17,8 +17,8 @@
 // timeout, except for a periodic probe call whose interval decays (doubles,
 // up to a cap) while the peer stays silent. Any successful exchange clears
 // suspicion.
-// Server side: requests are executed
-// on the node's thread pool; a reply cache keyed by request id gives
+// Server side: requests are executed on the blocking lane of an Executor
+// the endpoint owns, capped at `workers` threads; a reply cache keyed by request id gives
 // at-most-once execution — a retransmitted request whose execution already
 // finished is answered from the cache, one still in progress is ignored
 // (the client keeps retrying).
@@ -44,7 +44,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
+#include "common/executor.h"
 #include "common/timer_service.h"
 #include "net/transport.h"
 
@@ -313,7 +313,10 @@ class RpcEndpoint {
   std::unique_ptr<TimerService> owned_timers_;  // only when none was shared
   TimerService* timers_;
 
-  ThreadPool pool_;
+  // Request handlers may block on locks for arbitrarily long, so they run
+  // on the blocking lane of an executor of their own (normal lane unused),
+  // capped at `workers` threads named "mca-rpc-bN".
+  Executor pool_;
 };
 
 }  // namespace mca

@@ -29,9 +29,9 @@
 
 // Storage.
 #include "storage/faulty_store.h"
-#include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "storage/object_store.h"
+#include "storage/wal_store.h"
 
 // Distribution.
 #include "dist/node.h"

@@ -149,7 +149,6 @@ void Cluster::spawn(NodeId node) {
       "--id", std::to_string(node),
       "--data", data_dir(node).string(),
       "--peers", peer_spec,
-      "--store", std::string(to_string(config_.backend)),
       "--invoke-timeout-ms", std::to_string(config_.daemon_invoke_timeout.count()),
       "--tpc-timeout-ms", std::to_string(config_.daemon_tpc_timeout.count()),
   };

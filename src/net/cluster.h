@@ -47,7 +47,6 @@ struct ClusterNodeConfig {
 struct ClusterConfig {
   std::vector<ClusterNodeConfig> nodes;
   std::filesystem::path root;  // per-node data dirs + logs live underneath
-  StoreBackend backend = StoreBackend::Wal;
   NodeId driver_id = 100;
   std::chrono::milliseconds daemon_invoke_timeout{4'000};
   std::chrono::milliseconds daemon_tpc_timeout{1'000};

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "dist/node.h"
-#include "storage/file_store.h"
 #include "storage/wal_store.h"
 
 namespace mca {
@@ -42,23 +41,13 @@ void check_node(DistNode& node, ConsistencyReport& report) {
   }
   for (const Uid& uid : store.uids()) {
     const auto state = store.read(uid);
-    if (!state) continue;  // quarantined under us — fsck below reports it
+    if (!state) continue;  // removed since uids() listed it
     if (state->type_name() == kPreparedMarkerType) {
       add(report, node.id(), "prepared marker survived for record " + uid.to_string());
     }
   }
 
-  if (auto* files = dynamic_cast<FileStore*>(&store)) {
-    for (const auto& path : files->fsck()) {
-      add(report, node.id(), "corrupt durable state: " + path.filename().string());
-    }
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(files->directory(), ec)) {
-      if (entry.path().filename().string().ends_with(".tmp")) {
-        add(report, node.id(), "stale temp file: " + entry.path().filename().string());
-      }
-    }
-  } else if (auto* wal = dynamic_cast<WalStore*>(&store)) {
+  if (auto* wal = dynamic_cast<WalStore*>(&store)) {
     // Post-recovery the log must walk cleanly: any torn tail was truncated
     // and a corrupt checkpoint quarantined, so fsck hits mean replay let
     // damage through.

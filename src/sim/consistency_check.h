@@ -9,8 +9,9 @@
 //                   live mirrors, no shadow states, no stray protocol
 //                   records (coordinator log records are legitimate
 //                   leftovers — presumed abort never garbage-collects them
-//                   here), and — for a FileStore — every durable file
-//                   decodes (fsck) with no orphaned ".tmp".
+//                   here), and — for a WalStore — every log segment and
+//                   the checkpoint walk cleanly (fsck) with no orphaned
+//                   ".tmp".
 //
 //   check_atomic_outcome
 //                   cross-node all-or-nothing: the coordinator's durable log

@@ -12,12 +12,6 @@ namespace {
 // sweep test iterates this table; keep the window text accurate — it is the
 // documentation of what a kill there leaves on disk.
 constexpr Info kPoints[] = {
-    {"store.file.write.pre_rename",
-     "FileStore write: .tmp fully written, atomic rename not done — torn write leaves an orphan "
-     ".tmp, target unchanged"},
-    {"store.file.commit_shadow.pre_rename",
-     "FileStore commit_shadow: shadow present, promote rename not done — shadow and old committed "
-     "state both survive"},
     {"store.wal.append.mid_record",
      "WalStore append: record header on disk, body not — torn tail; replay CRC-checks the frame, "
      "truncates at the last whole record"},

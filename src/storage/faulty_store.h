@@ -68,7 +68,6 @@ class FaultyStore final : public ObjectStore {
   [[nodiscard]] std::vector<Uid> shadow_uids() const override { return inner_.shadow_uids(); }
 
   void crash() override { inner_.crash(); }
-  void scavenge() override { inner_.scavenge(); }
   [[nodiscard]] StorageClass storage_class() const override { return inner_.storage_class(); }
 
  private:

@@ -5,11 +5,9 @@
 // modified are written to an object store as ObjectStates; on abort the
 // previous snapshot is restored instead.
 //
-// The flat encoding is checksummed: encode() prefixes a magic word and a
-// CRC-32 over the body, decode() verifies both and throws StateCorrupt on
-// any mismatch. A torn write (truncated body) or a flipped bit on disk is
-// therefore *detected at read time* — stores quarantine the bad bytes
-// instead of deserialising garbage into a live object.
+// The flat encoding carries no integrity header of its own: the WAL frames
+// it under a CRC-32 per record (storage/wal_store.h), so a torn or
+// bit-flipped state is caught before decode_unchecked() ever sees it.
 #pragma once
 
 #include <stdexcept>
@@ -20,9 +18,9 @@
 
 namespace mca {
 
-// Thrown by decode() when the encoding's magic word or CRC-32 does not
-// match: the bytes are corrupt (bit flip) or torn (partial write) and must
-// not be used as object state.
+// Thrown by the WAL's checkpoint decoder when a checkpoint's magic word or
+// CRC-32 does not match: the bytes are corrupt (bit flip) or torn (partial
+// write) and must not be used as object state.
 class StateCorrupt : public std::runtime_error {
  public:
   explicit StateCorrupt(const std::string& what)
@@ -40,24 +38,14 @@ class ObjectState {
   [[nodiscard]] const ByteBuffer& state() const { return state_; }
   [[nodiscard]] ByteBuffer& state() { return state_; }
 
-  // Flat encoding used by file stores and by the RPC layer when shipping
-  // states between nodes: [magic u32][crc32 u32][body: uid, type, state].
-  [[nodiscard]] ByteBuffer encode() const;
-
-  // The body without the integrity header — the checksum-off baseline the
-  // robustness benchmarks compare against, and the payload format of WAL
-  // records (whose framing carries its own CRC, making the inner header
-  // redundant). Not decodable by decode().
+  // Flat encoding [uid][type][state]: the layout of a WAL record's payload
+  // and of each checkpoint entry (the WAL's framing carries the CRC).
   [[nodiscard]] ByteBuffer encode_unchecked() const;
 
   // Inverse of encode_unchecked(): no integrity verification — the caller
   // (e.g. the WAL's record framing) must have checksummed the bytes itself.
   // Throws BufferUnderflow on truncated input.
   static ObjectState decode_unchecked(ByteBuffer& in);
-
-  // Throws StateCorrupt (bad magic / CRC mismatch) or BufferUnderflow
-  // (truncated inside a length-prefixed field) on damaged input.
-  static ObjectState decode(ByteBuffer& in);
 
   friend bool operator==(const ObjectState& a, const ObjectState& b) {
     return a.uid_ == b.uid_ && a.type_name_ == b.type_name_ && a.state_ == b.state_;

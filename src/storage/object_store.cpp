@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/executor.h"
+#include "common/logging.h"
 
 namespace mca {
 namespace {
@@ -53,9 +54,17 @@ void ShadowBatches::add(ObjectStore& store, ObjectState state) {
   it->second.push_back(std::move(state));
 }
 
+void discard_shadow_best_effort(ObjectStore& store, const Uid& uid) {
+  try {
+    store.discard_shadow(uid);
+  } catch (const std::exception& e) {
+    MCA_LOG(Warn, "store") << "discard of shadow " << uid << " refused: " << e.what();
+  }
+}
+
 void ShadowBatches::discard() const {
   for (const auto& [store, states] : batches_) {
-    for (const ObjectState& state : states) store->discard_shadow(state.uid());
+    for (const ObjectState& state : states) discard_shadow_best_effort(*store, state.uid());
   }
 }
 

@@ -44,8 +44,8 @@ class ObjectStore;
 // update the store's image and join its log in order, but return without
 // waiting. Writes to any other store must not run inside a scope. Both
 // hints travel with the thread, so they reach a store through decorators
-// that only forward the ObjectStore calls; FileStore and MemoryStore ignore
-// them and stay synchronous.
+// that only forward the ObjectStore calls; MemoryStore ignores them and
+// stays synchronous.
 //
 // DeferDurability, the backward cover (lazy phase two): the covering record
 // is already durable, so any later waited write to the store is durable
@@ -96,9 +96,9 @@ class ObjectStore {
   [[nodiscard]] virtual std::vector<Uid> uids() const = 0;
 
   // Writes a batch of states of one kind. The default is the sequential
-  // loop; stores with a cheaper grouped path override it (FileStore
-  // coalesces the batch's durability barriers into one, MemoryStore takes
-  // its lock once). A batch is NOT atomic: a crash mid-batch leaves a
+  // loop; stores with a cheaper grouped path override it (WalStore appends
+  // the batch as one run of records with one durability wait, MemoryStore
+  // takes its lock once). A batch is NOT atomic: a crash mid-batch leaves a
   // prefix written, exactly like the sequential loop — the commit
   // protocol's markers and shadows own recovery of partial batches.
   virtual void write_batch(const std::vector<ObjectState>& states, WriteKind kind) {
@@ -123,10 +123,10 @@ class ObjectStore {
   // in order to finish an in-doubt commit); volatile stores are emptied.
   virtual void crash() = 0;
 
-  // Restart-time storage recovery hook: drop artifacts a crash can leave
-  // behind that no recovery protocol will ever claim (e.g. a file store's
-  // stale ".tmp" files from torn writes). Called by a node's restart before
-  // protocol-level recovery runs; default is a no-op.
+  // No-op, and nothing calls it: a store finishes its own recovery in its
+  // constructor and in crash(). It stays only because the cluster
+  // benchmark's TimedStore decorator still overrides it; delete both
+  // together.
   virtual void scavenge() {}
 
   [[nodiscard]] virtual StorageClass storage_class() const = 0;
@@ -139,13 +139,22 @@ class ObjectStore {
   virtual void wake_deferred() {}
 };
 
+// The failure path's discard, best effort: drops `uid`'s shadow from
+// `store`, and logs a std::exception the store throws instead of passing it
+// on (a wedged WalStore refuses every mutation, the discard included).
+// Presumed abort makes that sound: no record names a shadow the failure
+// path drops, so one left behind is gone after the restart that clears the
+// refusal (the log replays without it) or is dropped by the orphan-shadow
+// sweep. A simulated kill, which is not a std::exception, still leaves.
+void discard_shadow_best_effort(ObjectStore& store, const Uid& uid);
+
 // One commit's prepare shadows, one batch per store in first-seen order, so
 // that each store takes its share in a single write_batch call.
 class ShadowBatches {
  public:
   void add(ObjectStore& store, ObjectState state);
-  // The failure path: drops every shadow add() named (one that never landed
-  // discards as a no-op).
+  // The failure path: drops every shadow add() named, each through
+  // discard_shadow_best_effort (one that never landed discards as a no-op).
   void discard() const;
 
  private:

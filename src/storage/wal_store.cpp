@@ -22,8 +22,7 @@ namespace fs = std::filesystem;
 namespace {
 
 // "MWL1" / "MWC1" little-endian: record frames and checkpoint files carry
-// distinct magics so neither can ever be mistaken for the other (or for an
-// ObjectState file).
+// distinct magics so neither can ever be mistaken for the other.
 constexpr std::uint32_t kRecordMagic = 0x314C574Du;
 constexpr std::uint32_t kCheckpointMagic = 0x3143574Du;
 

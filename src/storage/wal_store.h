@@ -1,6 +1,6 @@
-// Log-structured stable object store: a group-committed write-ahead log.
+// Log-structured stable object store: a group-committed write-ahead log,
+// the durable store every node daemon runs on.
 //
-// Where FileStore pays one file write + rename (+fsyncs) per object state,
 // WalStore appends every mutation — committed writes, shadow writes, shadow
 // promotion/discard, removes — as a CRC-framed record to an append-only
 // segment file and serves all reads from an in-memory image of the log. One
@@ -12,13 +12,12 @@
 //
 // Record framing: [u32 magic 'MWL1'][u32 crc32(body)][u32 len][body]; body is
 // [u8 op][payload] where Put/PutShadow carry ObjectState::encode_unchecked()
-// (the frame CRC makes the state's own integrity header redundant) and
-// Remove/CommitShadow/DiscardShadow carry just the uid. Replay walks the
+// and Remove/CommitShadow/DiscardShadow carry just the uid. Replay walks the
 // frames; the first bad magic, impossible length, or CRC mismatch is a torn
-// tail — the file is physically truncated at the last whole record and
-// everything before it is kept. A record is the unit of atomicity; the
-// commit protocol's shadows and markers (which are just records here) own
-// multi-record recovery, exactly as they do over FileStore.
+// tail — the file is physically truncated at the last whole record, so the
+// bad record and every record after it are gone and everything before it
+// is kept. A record is the unit of atomicity; the commit protocol's shadows
+// and markers (which are just records here) own multi-record recovery.
 //
 // Checkpoint/compaction: when the active segment outgrows
 // Options::checkpoint_threshold_bytes (checked by writers after their commit
@@ -128,9 +127,6 @@ class WalStore final : public ObjectStore {
   // DurabilityError — their records may or may not have survived, exactly
   // like a real machine losing power mid-fsync.
   void crash() override;
-
-  // Recovery already ran in the constructor / crash(); nothing left to sweep.
-  void scavenge() override {}
 
   [[nodiscard]] StorageClass storage_class() const override { return StorageClass::Stable; }
 

@@ -6,7 +6,7 @@
 // participant, and retires the record once every batch is acked. This suite
 // covers the distributed behaviour the unit tests can't:
 //
-//   * the one-phase commit across three FileStore-backed nodes — values
+//   * the one-phase commit across three WalStore-backed nodes — values
 //     land, no prepared markers, no base ObjectState (chain records only),
 //     no surviving coordinator-log record;
 //   * the single-site skip: a purely local delta action writes no Delta
@@ -32,7 +32,7 @@
 #include "objects/commutative_counter.h"
 #include "objects/recoverable_int.h"
 #include "sim/crash_points.h"
-#include "storage/file_store.h"
+#include "storage/wal_store.h"
 #include "sim/network.h"
 
 namespace mca {
@@ -75,11 +75,11 @@ constexpr std::int64_t kInitial = 100;
 constexpr std::int64_t kDelta = 5;
 
 // Coordinator node 1 with a local counter, participants 2 and 3 hosting one
-// counter each, every node on its own FileStore.
+// counter each, every node on its own WalStore.
 struct DeltaCluster {
   TempDir dir;
   Network net;
-  FileStore c_store, p1_store, p2_store;
+  WalStore c_store, p1_store, p2_store;
   DistNode c, p1, p2;
   CommutativeCounter local, a, b;
 
@@ -311,7 +311,7 @@ TEST(CommutativeCommit, MixedActionOnOneNodeStaysAtomic) {
 struct TwoNodeCluster {
   TempDir dir;
   Network net;
-  FileStore c_store, p1_store;
+  WalStore c_store, p1_store;
   DistNode c, p1;
   CommutativeCounter a;
 

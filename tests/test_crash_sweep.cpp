@@ -1,7 +1,7 @@
 // Crash-point sweep: kill-at-every-window testing of 2PC + recovery.
 //
 // The canonical workload is a two-participant transfer — a@node2 -= 10,
-// b@node3 += 10, coordinated by node 1, every node backed by a FileStore in
+// b@node3 += 10, coordinated by node 1, every node backed by a WalStore in
 // a fresh temp directory. The sweep arms one crash point per case (the
 // skip'th hit selects which node dies when a window executes once per
 // participant), drives the transfer into it, restarts whatever died, lets
@@ -11,7 +11,8 @@
 //     commit; anything else => presumed abort),
 //   * both accounts sit on the same side of the outcome (all-or-nothing),
 //   * no in-doubt markers, locks, mirrors, shadows, stale .tmp files, or
-//     undecodable durable states anywhere (sim/consistency_check).
+//     log segments or checkpoints that fail their frame walk anywhere
+//     (sim/consistency_check).
 //
 // When the coordinator is the victim the driver power-cycles the
 // participants too: a mirror whose action never reached phase one is
@@ -33,7 +34,6 @@
 #include <optional>
 #include <random>
 #include <thread>
-#include <type_traits>
 
 #include "dist/remote.h"
 #include "dist/wire.h"
@@ -41,7 +41,7 @@
 #include "sim/consistency_check.h"
 #include "sim/crash_points.h"
 #include "storage/faulty_store.h"
-#include "storage/file_store.h"
+#include "storage/memory_store.h"
 #include "storage/wal_store.h"
 #include "sim/network.h"
 
@@ -89,26 +89,18 @@ struct TempDir {
 // flushes whatever is queued straight away, so a covered shadow written
 // first could get a flush of its own. One waited write warms each log, so
 // the flushes the append-window cases count are the transfer's own.
-template <typename StoreT>
-void warm(StoreT& store) {
-  if constexpr (std::is_same_v<StoreT, WalStore>) {
-    store.write(ObjectState(Uid(), "Warm", ByteBuffer()));
-  }
-}
+void warm(WalStore& store) { store.write(ObjectState(Uid(), "Warm", ByteBuffer())); }
 
-// Coordinator node 1, participants 2 and 3, all on the same kind of stable
-// store (FileStore for the classic sweep, WalStore for the log-structured
-// one — the protocol must converge identically over either backend).
+// Coordinator node 1, participants 2 and 3, each on a WalStore of its own.
 // Node 3's store is wrapped in a FaultyStore so a case can make it veto
 // phase one (clean NO vote) and push the coordinator down the abort path.
 // With `coordinator_account`, node 1 also hosts `z` and counts the transfers
 // it runs there, so the coordinator writes a shadow of its own at prepare
 // and promotes it in phase two.
-template <typename StoreT>
-struct BasicCluster {
+struct Cluster {
   TempDir dir;
   Network net;
-  StoreT c_store, p1_store, p2_files;
+  WalStore c_store, p1_store, p2_wal;
   std::shared_ptr<std::atomic<bool>> veto_p2;
   FaultyStore p2_store;
   DistNode c, p1, p2;
@@ -117,15 +109,15 @@ struct BasicCluster {
 
   // The directory embeds a fresh Uid: ctest runs sweep cases as concurrent
   // processes, which must not share (and remove_all) each other's stores.
-  explicit BasicCluster(const std::string& tag, typename StoreT::Options store_options = {},
-                        bool coordinator_account = false)
+  explicit Cluster(const std::string& tag, WalStore::Options store_options = {},
+                   bool coordinator_account = false)
       : dir(fs::temp_directory_path() / ("mca_crash_sweep_" + tag + "_" + Uid().to_string())),
         net(fast_config()),
         c_store(dir.path / "c", store_options),
         p1_store(dir.path / "p1", store_options),
-        p2_files(dir.path / "p2", store_options),
+        p2_wal(dir.path / "p2", store_options),
         veto_p2(std::make_shared<std::atomic<bool>>(false)),
-        p2_store(p2_files,
+        p2_store(p2_wal,
                  [flag = veto_p2](FaultyStore::Op op, const Uid&) {
                    return flag->load() && op == FaultyStore::Op::WriteShadow;
                  }),
@@ -146,7 +138,7 @@ struct BasicCluster {
     if (coordinator_account) c.host(z.emplace(c.runtime(), kInitial));
     warm(c_store);
     warm(p1_store);
-    warm(p2_files);
+    warm(p2_wal);
   }
 
   std::vector<DistNode*> nodes() { return {&c, &p1, &p2}; }
@@ -180,7 +172,7 @@ struct BasicCluster {
     consistency::check_node(p2, report);
     // Node 3's real store hides behind the FaultyStore decorator, invisible
     // to check_node's dynamic_cast: fsck it directly.
-    for (const auto& path : p2_files.fsck()) {
+    for (const auto& path : p2_wal.fsck()) {
       report.violations.push_back("node 3: corrupt durable state: " +
                                   path.filename().string());
     }
@@ -221,14 +213,12 @@ struct BasicCluster {
   // a waited flush must take its node down through the waiting writer.
   bool crash_nodes_with_wedged_logs() {
     bool crashed = false;
-    if constexpr (std::is_same_v<StoreT, WalStore>) {
-      const std::pair<DistNode*, const WalStore*> logs[] = {
-          {&c, &c_store}, {&p1, &p1_store}, {&p2, &p2_files}};
-      for (const auto& [node, log] : logs) {
-        if (node->up() && log->wedged()) {
-          node->crash();
-          crashed = true;
-        }
+    const std::pair<DistNode*, const WalStore*> logs[] = {
+        {&c, &c_store}, {&p1, &p1_store}, {&p2, &p2_wal}};
+    for (const auto& [node, log] : logs) {
+      if (node->up() && log->wedged()) {
+        node->crash();
+        crashed = true;
       }
     }
     return crashed;
@@ -247,8 +237,6 @@ struct BasicCluster {
     signal_heal_all();
   }
 };
-
-using Cluster = BasicCluster<FileStore>;
 
 // ---------------------------------------------------------------------------
 // Registry unit tests
@@ -334,14 +322,6 @@ const SweepCase kSweepCases[] = {
     {"tpc.participant.post_shadow_pre_marker", 1, false, false},
     {"tpc.participant.prepare.post_marker", 0, false, false},
     {"tpc.participant.prepare.post_marker", 1, false, false},
-    // Torn stable writes, in deterministic hit order:
-    // [0] node2 shadow, [1] node2 marker, [2] node3 shadow, [3] node3
-    // marker, [4] coordinator log (decision not durable => abort).
-    {"store.file.write.pre_rename", 0, false, false},
-    {"store.file.write.pre_rename", 1, false, false},
-    {"store.file.write.pre_rename", 2, false, false},
-    {"store.file.write.pre_rename", 3, false, false},
-    {"store.file.write.pre_rename", 4, false, false},
     // Coordinator kills around the decision point.
     {"tpc.coord.phase1.pre_send", 0, false, false},
     {"tpc.coord.post_prepare_pre_log", 0, false, false},
@@ -350,8 +330,6 @@ const SweepCase kSweepCases[] = {
     {"tpc.coord.commit.pre_send", 1, true, false},
     // Phase-two participant kills: the decision is durable, commit must
     // survive the restart.
-    {"store.file.commit_shadow.pre_rename", 0, true, false},
-    {"store.file.commit_shadow.pre_rename", 1, true, false},
     {"tpc.participant.commit.pre_promote", 0, true, false},
     {"tpc.participant.commit.pre_promote", 1, true, false},
     {"tpc.participant.commit.pre_marker_drop", 0, true, false},
@@ -364,13 +342,12 @@ const SweepCase kSweepCases[] = {
 
 class CrashSweep : public ::testing::TestWithParam<SweepCase> {};
 
-// One sweep case, generic over the stable-store backend: arm, transfer into
-// the window, restart the victim, converge, run the invariant battery.
-template <typename StoreT>
-void run_kill_window_case(const SweepCase& sc, typename StoreT::Options store_options = {},
+// One sweep case: arm, transfer into the window, restart the victim,
+// converge, run the invariant battery.
+void run_kill_window_case(const SweepCase& sc, WalStore::Options store_options = {},
                           bool coordinator_account = false) {
   crash_points::reset();
-  BasicCluster<StoreT> cl("sweep", store_options, coordinator_account);
+  Cluster cl("sweep", store_options, coordinator_account);
   cl.veto_p2->store(sc.veto);
 
   crash_points::arm(sc.point, sc.skip);
@@ -403,7 +380,7 @@ void run_kill_window_case(const SweepCase& sc, typename StoreT::Options store_op
 }
 
 TEST_P(CrashSweep, KillWindowThenConverge) {
-  run_kill_window_case<FileStore>(GetParam());
+  run_kill_window_case(GetParam());
 }
 
 std::string sweep_case_name(const ::testing::TestParamInfo<SweepCase>& info) {
@@ -420,7 +397,7 @@ INSTANTIATE_TEST_SUITE_P(AllWindows, CrashSweep, ::testing::ValuesIn(kSweepCases
                          sweep_case_name);
 
 // ---------------------------------------------------------------------------
-// The same sweep over WalStore: kill inside the log append itself
+// Kill inside the log append itself
 // ---------------------------------------------------------------------------
 
 // Here the coordinator also counts the transfer in an account of its own,
@@ -467,7 +444,7 @@ const SweepCase kWalSweepCases[] = {
     {"store.wal.append.pre_fsync", 3, true, false, /*lazy=*/true},
     {"store.wal.append.pre_fsync", 4, true, false, /*lazy=*/true},
     {"store.wal.append.pre_fsync", 5, true, false, /*lazy=*/true},
-    // Veto path over the WAL backend: same windows as the FileStore sweep.
+    // Veto path with the coordinator's own account: same windows as above.
     {"tpc.coord.abort.pre_send", 0, false, true},
     {"tpc.participant.abort.pre_discard", 0, false, true},
 };
@@ -475,7 +452,7 @@ const SweepCase kWalSweepCases[] = {
 class WalCrashSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(WalCrashSweep, KillWindowThenConverge) {
-  run_kill_window_case<WalStore>(GetParam(), {}, /*coordinator_account=*/true);
+  run_kill_window_case(GetParam(), {}, /*coordinator_account=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(WalWindows, WalCrashSweep, ::testing::ValuesIn(kWalSweepCases),
@@ -493,7 +470,7 @@ class WalCheckpointWindows : public ::testing::Test {
   static void run(const char* point) {
     WalStore::Options options;
     options.checkpoint_threshold_bytes = 1;
-    run_kill_window_case<WalStore>(SweepCase{point, 0, false, false}, options);
+    run_kill_window_case(SweepCase{point, 0, false, false}, options);
   }
 };
 
@@ -517,27 +494,32 @@ TEST_F(WalCheckpointWindows, InterruptedCompactionCompletesOnRecovery) {
 // Coordinator 1 hosts `z`, participant 2 hosts `a`; the transfer moves
 // kDelta from z to a, so both sides write a shadow at prepare and promote it
 // in phase two. Only the node under test runs on a WalStore (the other on a
-// FileStore), so its flushes are the only ones the store.wal points count.
+// stable MemoryStore), so its flushes are the only ones the store.wal
+// points count.
 // The shadow rides the record that covers it, so each side makes two: [0]
 // shadow plus prepared marker (participant), or shadow plus Sealed decision
 // record (coordinator); [1] the lazy phase-two append — promotion plus
 // marker drop, or promotion plus the Applied rewrite. Tearing [0] loses the
 // vote or the decision with its shadow; tearing [1] loses both writes after
 // the node already reported the commit.
-template <typename CoordStoreT, typename PartStoreT>
 struct LazyCluster {
+  enum class OnWal { Coordinator, Participant };  // the node under test
+
   TempDir dir;
   Network net;
-  CoordStoreT c_store;
-  PartStoreT p_store;
+  WalStore wal;
+  MemoryStore memory{StorageClass::Stable};
+  ObjectStore& c_store;
+  ObjectStore& p_store;
   DistNode c, p;
   RecoverableInt z, a;
 
-  explicit LazyCluster(const std::string& tag)
+  LazyCluster(const std::string& tag, OnWal on_wal)
       : dir(fs::temp_directory_path() / ("mca_crash_sweep_" + tag + "_" + Uid().to_string())),
         net(fast_config()),
-        c_store(dir.path / "c"),
-        p_store(dir.path / "p"),
+        wal(dir.path / "wal"),
+        c_store(on_wal == OnWal::Coordinator ? static_cast<ObjectStore&>(wal) : memory),
+        p_store(on_wal == OnWal::Participant ? static_cast<ObjectStore&>(wal) : memory),
         c(net, 1, &c_store),
         p(net, 2, &p_store),
         z(c.runtime(), kInitial),
@@ -551,8 +533,7 @@ struct LazyCluster {
     }
     c.host(z);
     p.host(a);
-    warm(c_store);
-    warm(p_store);
+    warm(wal);
   }
 
   // Runs the transfer with store.wal.append.mid_record armed at the node
@@ -577,13 +558,13 @@ struct LazyCluster {
 
   // Commits the transfer with the node under test's lazy append [1] torn,
   // and returns the action once that kill has torn it.
-  Uid commit_then_tear_lazy_append(const WalStore& victim) {
+  Uid commit_then_tear_lazy_append() {
     std::optional<Outcome> outcome;
     const Uid uid = transfer_with_torn_append(1, outcome);
     EXPECT_EQ(outcome, Outcome::Committed);
     // The kill fires on the victim's committer thread after commit()
     // returned; it leaves the log wedged for its owner to find.
-    EXPECT_TRUE(wait_until([&] { return victim.wedged(); }, 5'000ms));
+    EXPECT_TRUE(wait_until([&] { return wal.wedged(); }, 5'000ms));
     EXPECT_EQ(crash_points::fire_count("store.wal.append.mid_record"), 1u);
     crash_points::disarm_all();
     return uid;
@@ -594,8 +575,8 @@ struct LazyCluster {
   void check(std::int64_t z_value, std::int64_t a_value, ConsistencyReport& report) {
     consistency::check_node(c, report);
     consistency::check_node(p, report);
-    EXPECT_EQ(BasicCluster<CoordStoreT>::stored(c.runtime(), z.uid()), z_value);
-    EXPECT_EQ(BasicCluster<CoordStoreT>::stored(p.runtime(), a.uid()), a_value);
+    EXPECT_EQ(Cluster::stored(c.runtime(), z.uid()), z_value);
+    EXPECT_EQ(Cluster::stored(p.runtime(), a.uid()), a_value);
     EXPECT_TRUE(c_store.shadow_uids().empty());
     EXPECT_TRUE(p_store.shadow_uids().empty());
   }
@@ -604,7 +585,7 @@ struct LazyCluster {
 };
 
 TEST(CoveredPrepare, TornParticipantPreparedAppendPresumesAbortWithNoOrphanShadow) {
-  LazyCluster<FileStore, WalStore> cl("covered_participant");
+  LazyCluster cl("covered_participant", LazyCluster::OnWal::Participant);
   std::optional<Outcome> outcome;
   const Uid action = cl.transfer_with_torn_append(0, outcome);
   EXPECT_EQ(crash_points::last_fired().value_or("<none>"), "store.wal.append.mid_record");
@@ -629,7 +610,7 @@ TEST(CoveredPrepare, TornParticipantPreparedAppendPresumesAbortWithNoOrphanShado
 }
 
 TEST(CoveredPrepare, TornCoordinatorShadowAndSealedAppendAborts) {
-  LazyCluster<WalStore, FileStore> cl("covered_coordinator");
+  LazyCluster cl("covered_coordinator", LazyCluster::OnWal::Coordinator);
   std::optional<Outcome> outcome;
   const Uid action = cl.transfer_with_torn_append(0, outcome);
   EXPECT_EQ(crash_points::last_fired().value_or("<none>"), "store.wal.append.mid_record");
@@ -655,8 +636,8 @@ TEST(CoveredPrepare, TornCoordinatorShadowAndSealedAppendAborts) {
 }
 
 TEST(LazyPhaseTwo, AckedParticipantRedoesLostPromotionViaTxStatus) {
-  LazyCluster<FileStore, WalStore> cl("lazy_participant");
-  const Uid action = cl.commit_then_tear_lazy_append(cl.p_store);
+  LazyCluster cl("lazy_participant", LazyCluster::OnWal::Participant);
+  const Uid action = cl.commit_then_tear_lazy_append();
 
   // The process death the kill stands for. The log replays to "marker +
   // shadow": the participant is in doubt about a transaction it acked.
@@ -674,8 +655,8 @@ TEST(LazyPhaseTwo, AckedParticipantRedoesLostPromotionViaTxStatus) {
 }
 
 TEST(LazyPhaseTwo, CommittedCoordinatorRedoesLostPromotionFromItsSealedRecord) {
-  LazyCluster<WalStore, FileStore> cl("lazy_coordinator");
-  const Uid action = cl.commit_then_tear_lazy_append(cl.c_store);
+  LazyCluster cl("lazy_coordinator", LazyCluster::OnWal::Coordinator);
+  const Uid action = cl.commit_then_tear_lazy_append();
 
   // The log replays to "Sealed record + shadow": commit() already returned
   // Committed, but neither the promotion nor the Applied rewrite landed.
@@ -829,7 +810,7 @@ TEST(CrashChaos, SeededDoubleFaultsConverge) {
 struct WitnessCluster {
   TempDir dir;
   Network net;
-  FileStore c_store, p1_store, p2_store, w1_store, w2_store;
+  WalStore c_store, p1_store, p2_store, w1_store, w2_store;
   DistNode c, p1, p2, w1, w2;
   RecoverableInt a, b;
 

@@ -11,7 +11,7 @@
 #include "objects/recoverable_log.h"
 #include "objects/recoverable_map.h"
 #include "objects/recoverable_set.h"
-#include "storage/file_store.h"
+#include "storage/wal_store.h"
 #include "sim/network.h"
 
 namespace mca {
@@ -138,17 +138,17 @@ TEST_F(DistExtraTest, ManyClientsIncrementConcurrently) {
   check.commit();
 }
 
-TEST(DistFileStore, StateSurvivesNodeTeardownAndReconstruction) {
-  // A node backed by a FileStore loses its process state entirely (we
+TEST(DistWalStore, StateSurvivesNodeTeardownAndReconstruction) {
+  // A node backed by a WalStore loses its process state entirely (we
   // destroy the DistNode) and is rebuilt over the same directory: committed
   // remote updates must still be there.
   const auto dir =
-      std::filesystem::temp_directory_path() / ("mca_dist_fs_" + Uid().to_string());
+      std::filesystem::temp_directory_path() / ("mca_dist_wal_" + Uid().to_string());
   Network net(fast_config());
   DistNode client(net, 1);
   Uid object_uid;
   {
-    FileStore store(dir);
+    WalStore store(dir);
     DistNode server(net, 2, &store);
     RecoverableInt account(server.runtime(), 100);
     object_uid = account.uid();
@@ -161,7 +161,7 @@ TEST(DistFileStore, StateSurvivesNodeTeardownAndReconstruction) {
   }  // server torn down completely
 
   {
-    FileStore store(dir);
+    WalStore store(dir);
     DistNode server(net, 2, &store);
     RecoverableInt account(server.runtime(), object_uid);  // rebind by uid
     server.host(account);

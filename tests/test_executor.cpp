@@ -18,7 +18,7 @@
 #include "core/structures/independent_action.h"
 #include "objects/recoverable_int.h"
 #include "sim/crash_points.h"
-#include "storage/file_store.h"
+#include "storage/wal_store.h"
 
 namespace mca {
 namespace {
@@ -97,6 +97,25 @@ TEST(Executor, BlockingLaneReusesIdleThreads) {
     while (!done.load() || ex.stats().blocking_idle != 1) std::this_thread::sleep_for(100us);
   }
   EXPECT_EQ(ex.stats().threads_spawned, 1u);
+}
+
+// The shape RpcEndpoint runs its request handlers on: the normal lane
+// unused, the blocking lane capped. Work past the cap queues, shutdown
+// drains it, and the lane refuses afterwards.
+TEST(Executor, CappedBlockingLaneDrainsOnShutdownThenRefuses) {
+  Executor::Options o;
+  o.workers = 1;
+  o.max_blocking = 4;
+  o.max_queue = 0;
+  Executor ex(o);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(ex.submit_blocking([&] { ran.fetch_add(1); }));
+  }
+  ex.shutdown();
+  EXPECT_EQ(ran.load(), 100);
+  EXPECT_LE(ex.stats().threads_spawned, 4u);
+  EXPECT_FALSE(ex.submit_blocking([] {}));
 }
 
 TEST(Executor, TrySubmitBlockingRefusesAtCapWithNoIdleWorker) {
@@ -367,24 +386,24 @@ TEST(RuntimeSpine, AsyncJoinAfterRuntimeTeardownSeesRealOutcome) {
 }
 
 TEST(RuntimeSpine, ParallelPrepareKillTunnelsOutOfCommit) {
-  // Two file stores force a multi-batch parallel prepare; an armed
-  // store-level crash point must surface as CrashPointHit out of commit()
-  // on the calling thread — tunnelling through the executor workers and
-  // every catch(std::exception) on the way — exactly as the crash-sweep
-  // checker relies on.
+  // Two stores force a multi-batch parallel prepare; an armed store-level
+  // crash point must surface as CrashPointHit out of commit() on the
+  // calling thread — tunnelling through the executor workers, the WAL's
+  // committer and every catch(std::exception) on the way — exactly as the
+  // crash-sweep checker relies on.
   const auto dir_a =
       std::filesystem::temp_directory_path() / ("mca_exec_kill_a_" + Uid().to_string());
   const auto dir_b =
       std::filesystem::temp_directory_path() / ("mca_exec_kill_b_" + Uid().to_string());
   {
-    FileStore store_a(dir_a);
-    FileStore store_b(dir_b);
+    WalStore store_a(dir_a);
+    WalStore store_b(dir_b);
     Runtime rt(store_a);
     RecoverableInt in_a(rt, store_a);
     RecoverableInt in_b(rt, store_b);
 
     crash_points::reset();
-    crash_points::arm("store.file.write.pre_rename");
+    crash_points::arm("store.wal.append.mid_record");
     AtomicAction action(rt);
     action.begin();
     in_a.set(7);
@@ -394,7 +413,7 @@ TEST(RuntimeSpine, ParallelPrepareKillTunnelsOutOfCommit) {
       (void)action.commit();
     } catch (const CrashPointHit& hit) {
       tunnelled = true;
-      EXPECT_EQ(hit.point(), "store.file.write.pre_rename");
+      EXPECT_EQ(hit.point(), "store.wal.append.mid_record");
     } catch (...) {
       FAIL() << "kill surfaced as something other than CrashPointHit";
     }

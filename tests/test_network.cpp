@@ -1007,21 +1007,5 @@ TEST(Reassembly, AForgedClaimCannotFlushMessagesStillArriving) {
   EXPECT_EQ(reasm.buffered_bytes(), 7 * kChunk + 50);
 }
 
-TEST(ThreadPoolTest, ExecutesSubmittedWork) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.submit([&] { ++done; }));
-  }
-  pool.shutdown();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPoolTest, RejectsAfterShutdown) {
-  ThreadPool pool(1);
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit([] {}));
-}
-
 }  // namespace
 }  // namespace mca

@@ -21,7 +21,7 @@
 #include "objects/commutative_set.h"
 #include "objects/recoverable_int.h"
 #include "objects/recoverable_log.h"
-#include "storage/file_store.h"
+#include "storage/wal_store.h"
 
 namespace mca {
 namespace {
@@ -254,7 +254,7 @@ TEST_P(CrashRecoveryProperty, ReloadAlwaysSeesLastCommit) {
   for (int epoch = 0; epoch < 6; ++epoch) {
     // "Boot": fresh store + runtime over the same directory, as after a
     // node restart.
-    FileStore store(dir);
+    WalStore store(dir);
     Runtime rt(store);
     std::unique_ptr<RecoverableInt> obj =
         object_uid.is_nil() ? std::make_unique<RecoverableInt>(rt)

@@ -1,7 +1,8 @@
-// WalStore unit tests: recovery by replay, torn-tail truncation, group
-// commit coalescing, checkpoint/compaction, the fsync-failure wedge, and a
-// workload-equivalence check against FileStore (the two stable backends
-// must be observationally identical behind the ObjectStore interface).
+// WalStore unit tests: recovery by replay, torn-tail truncation, frame
+// integrity, group commit coalescing, checkpoint/compaction, the
+// fsync-failure wedge, and a workload-equivalence check against a stable
+// MemoryStore (the durable store must behave like the reference behind the
+// ObjectStore interface, live and after a crash).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <thread>
 
@@ -19,7 +21,7 @@
 #include "sim/crash_points.h"
 #include "sim/network.h"
 #include "storage/faulty_store.h"
-#include "storage/file_store.h"
+#include "storage/memory_store.h"
 #include "storage/wal_store.h"
 
 namespace mca {
@@ -136,6 +138,63 @@ TEST_F(WalTest, TruncationInsideARecordDropsOnlyThatRecord) {
   EXPECT_EQ(reopened.stats().truncated_tails, 1u);
   EXPECT_EQ(fs::file_size(segment), first_size);
   EXPECT_TRUE(reopened.fsck().empty());
+}
+
+std::vector<char> read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const fs::path& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A flipped bit anywhere in a record's frame (magic, CRC, length or body)
+// fails the frame walk: fsck reports it, and replay truncates the log at the
+// end of the last good record, so the damaged record is gone with every
+// record after it.
+TEST_F(WalTest, EverySingleBitFlipInARecordIsDetected) {
+  const Uid a, b;
+  fs::path segment;
+  std::uintmax_t first_size = 0;
+  std::vector<char> pristine;
+  {
+    WalStore store(dir_);
+    store.write(make_state(a, "first"));
+    segment = active_segment();
+    first_size = fs::file_size(segment);
+    store.write(make_state(b, "second"));
+    pristine = read_bytes(segment);
+    ASSERT_GT(pristine.size(), first_size);
+
+    // fsck only reads: it reports the damaged segment and leaves it as is.
+    std::vector<char> damaged = pristine;
+    damaged[first_size + 5] ^= 0x10;  // a bit of the second frame's CRC
+    write_bytes(segment, damaged);
+    const auto bad = store.fsck();
+    ASSERT_EQ(bad.size(), 1u);
+    EXPECT_EQ(bad.front().filename(), segment.filename());
+    EXPECT_EQ(read_bytes(segment), damaged);
+  }
+
+  for (std::size_t byte = first_size; byte < pristine.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE(::testing::Message() << "byte " << byte << " bit " << bit);
+      std::vector<char> damaged = pristine;
+      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
+      write_bytes(segment, damaged);
+
+      WalStore reopened(dir_);
+      const auto first = reopened.read(a);
+      ASSERT_TRUE(first.has_value());
+      EXPECT_EQ(payload_of(*first), "first");
+      EXPECT_FALSE(reopened.read(b).has_value());
+      EXPECT_EQ(reopened.stats().truncated_tails, 1u);
+      EXPECT_EQ(fs::file_size(segment), first_size);
+      EXPECT_TRUE(reopened.fsck().empty());
+    }
+  }
 }
 
 // Group commit, deterministically: the first flush is held hostage inside
@@ -259,6 +318,33 @@ TEST_F(WalTest, FailedFsyncWedgesTheLogUntilRecovery) {
   store.write(make_state(blocked, "after recovery"));
   EXPECT_EQ(payload_of(*store.read(blocked)), "after recovery");
   EXPECT_TRUE(store.fsck().empty());
+}
+
+// ...and at the action level: a commit whose shadow write the log refuses
+// must come back Aborted, with the object rolled back and nothing
+// committed. The refused flush wedged the log, so the failure path's
+// discard of that shadow is refused too; that refusal must not escape
+// commit() and skip the abort.
+TEST_F(WalTest, FailedFlushTurnsCommitIntoAbort) {
+  WalStore::Options options;
+  options.fsync_fn = [](int) {
+    errno = EIO;
+    return -1;
+  };
+  WalStore store(dir_, options);
+  Runtime rt(store);
+  RecoverableInt counter(rt, 7);
+  AtomicAction a(rt);
+  a.begin();
+  counter.set(99);
+  EXPECT_EQ(a.commit(), Outcome::Aborted);
+  EXPECT_EQ(rt.action_stats().prepare_failures, 1u);
+  EXPECT_FALSE(store.read(counter.uid()).has_value());
+  EXPECT_TRUE(store.wedged());
+  AtomicAction check(rt);
+  check.begin();
+  EXPECT_EQ(counter.value(), 7);
+  check.abort();
 }
 
 TEST_F(WalTest, BatchIsOneFlushOneFsync) {
@@ -739,11 +825,11 @@ TEST_F(WalTest, AbortQueuesBehindItsOwnActionsPrepare) {
   EXPECT_EQ(x_value.unpack_i64(), 105);
 }
 
-// The two stable backends must agree on every observable after the same
-// workload — both live and after a crash/reopen cycle.
-TEST_F(WalTest, MatchesFileStoreOnTheSameWorkload) {
-  const fs::path file_dir = dir_.string() + "_file";
-  FileStore files(file_dir);
+// The WAL must agree with the reference stable store on every observable
+// after the same workload — both live and after a crash (a full replay on
+// the WAL side).
+TEST_F(WalTest, MatchesMemoryStoreOnTheSameWorkload) {
+  MemoryStore reference(StorageClass::Stable);
   WalStore wal(dir_);
 
   std::mt19937 rng(0xD15C);
@@ -758,24 +844,24 @@ TEST_F(WalTest, MatchesFileStoreOnTheSameWorkload) {
       case 0:
       case 1: {  // writes dominate, like the real workload
         const ObjectState s = make_state(uid, payload);
-        files.write(s);
+        reference.write(s);
         wal.write(s);
         break;
       }
       case 2: {
         const ObjectState s = make_state(uid, payload);
-        files.write_shadow(s);
+        reference.write_shadow(s);
         wal.write_shadow(s);
         break;
       }
       case 3:
-        EXPECT_EQ(files.commit_shadow(uid), wal.commit_shadow(uid)) << step;
+        EXPECT_EQ(reference.commit_shadow(uid), wal.commit_shadow(uid)) << step;
         break;
       case 4:
-        EXPECT_EQ(files.discard_shadow(uid), wal.discard_shadow(uid)) << step;
+        EXPECT_EQ(reference.discard_shadow(uid), wal.discard_shadow(uid)) << step;
         break;
       case 5:
-        EXPECT_EQ(files.remove(uid), wal.remove(uid)) << step;
+        EXPECT_EQ(reference.remove(uid), wal.remove(uid)) << step;
         break;
     }
   }
@@ -790,28 +876,23 @@ TEST_F(WalTest, MatchesFileStoreOnTheSameWorkload) {
       const auto sa = a.read(uid);
       const auto sb = b.read(uid);
       ASSERT_EQ(sa.has_value(), sb.has_value()) << when << " " << uid.to_string();
-      if (sa) EXPECT_EQ(*sa, *sb) << when << " " << uid.to_string();
+      if (sa) {
+        EXPECT_EQ(*sa, *sb) << when << " " << uid.to_string();
+      }
       const auto ha = a.read_shadow(uid);
       const auto hb = b.read_shadow(uid);
       ASSERT_EQ(ha.has_value(), hb.has_value()) << when << " " << uid.to_string();
-      if (ha) EXPECT_EQ(*ha, *hb) << when << " " << uid.to_string();
+      if (ha) {
+        EXPECT_EQ(*ha, *hb) << when << " " << uid.to_string();
+      }
     }
   };
-  diff_stores(files, wal, "live");
+  diff_stores(reference, wal, "live");
 
-  // Power-cycle both; the images must still agree (and with themselves).
-  // Reopen the FileStore with the stale-shadow sweep off: scavenging is a
-  // recovery-time *policy* (DistNode::restart invokes it explicitly), and
-  // this test compares the raw durable images, which WAL replay preserves
-  // in full.
-  files.crash();  // no-op: state is on disk
-  wal.crash();    // full replay
-  FileStore::Options raw;
-  raw.scavenge_on_open = false;
-  FileStore files2(file_dir, raw);
-  diff_stores(files2, wal, "after crash + reopen");
-
-  fs::remove_all(file_dir);
+  // Power-cycle both; the images must still agree.
+  reference.crash();  // stable: keeps everything
+  wal.crash();        // full replay
+  diff_stores(reference, wal, "after crash");
 }
 
 }  // namespace
