@@ -100,9 +100,9 @@ TEST(Executor, BlockingLaneReusesIdleThreads) {
 }
 
 // The shape RpcEndpoint runs its request handlers on: the normal lane
-// unused, the blocking lane capped. Work past the cap queues, shutdown
-// drains it, and the lane refuses afterwards.
-TEST(Executor, CappedBlockingLaneDrainsOnShutdownThenRefuses) {
+// unused, the blocking lane capped. Work past the cap queues and shutdown
+// drains it.
+TEST(Executor, CappedBlockingLaneRunsSubmittedWork) {
   Executor::Options o;
   o.workers = 1;
   o.max_blocking = 4;
@@ -116,6 +116,19 @@ TEST(Executor, CappedBlockingLaneDrainsOnShutdownThenRefuses) {
   EXPECT_EQ(ran.load(), 100);
   EXPECT_LE(ex.stats().threads_spawned, 4u);
   EXPECT_FALSE(ex.submit_blocking([] {}));
+}
+
+// The same shape refuses work once shut down, even with no task ever run.
+TEST(Executor, CappedBlockingLaneRefusesAfterShutdown) {
+  Executor::Options o;
+  o.workers = 1;
+  o.max_blocking = 1;
+  o.max_queue = 0;
+  Executor ex(o);
+  ex.shutdown();
+  EXPECT_FALSE(ex.submit_blocking([] {}));
+  EXPECT_EQ(ex.stats().rejected, 1u);
+  EXPECT_EQ(ex.stats().threads_spawned, 0u);
 }
 
 TEST(Executor, TrySubmitBlockingRefusesAtCapWithNoIdleWorker) {
