@@ -8,7 +8,7 @@
 //     disk, with a live coordinator answering presumed-abort; marker reads
 //     and drops go through the node's WalStore;
 //   * the shape report — the share of a full committed WalStore write
-//     (framed log append) that the frame's CRC-32 costs, by state size,
+//     (framed log append) that the frame's CRC-32C costs, by state size,
 //     with and without fsync.
 #include "bench_common.h"
 
@@ -101,15 +101,15 @@ BENCHMARK(BM_RestartRecoveryByMarkers)
 }  // namespace
 
 // What integrity costs on the store-write path: time the body encoding, the
-// CRC-32 over the encoded bodies and a WalStore write (framed log append)
+// CRC-32C over the encoded bodies and a WalStore write (framed log append)
 // of the same states, and report the CRC as a share of the write.
 void checksum_overhead_report() {
   bench::report_header(
       "CRC-framed WAL records — CRC share of the store-write path",
-      "the record frame's CRC-32 adds ~1% or less to a committed write of the "
-      "small states recoverable objects produce (tens of bytes) and under 3% "
-      "to any fsynced write up to 4 KiB; on a fsync-less append the share "
-      "grows with the state size");
+      "the record frame's CRC-32C costs ~0.1% of a fsync-less WAL append of a "
+      "64 B state, ~0.5% at 1 KiB and ~2.3% at 4 KiB, and under 0.4% of any "
+      "fsynced append up to 4 KiB (4-vCPU KVM guest; the table CRC-32 it "
+      "replaced cost 0.40% / 3.3% / 9.1% without fsync)");
   const auto dir =
       std::filesystem::temp_directory_path() / ("mca_bench_crc_" + Uid().to_string());
   for (const bool fsync : {false, true}) {
@@ -126,7 +126,7 @@ void checksum_overhead_report() {
       const auto t0 = std::chrono::steady_clock::now();
       for (const auto& s : states) encoded.push_back(s.encode_unchecked());
       const auto t1 = std::chrono::steady_clock::now();
-      for (const auto& e : encoded) benchmark::DoNotOptimize(crc32(e.bytes()));
+      for (const auto& e : encoded) benchmark::DoNotOptimize(crc32c(e.bytes()));
       const auto t2 = std::chrono::steady_clock::now();
       {
         WalStore::Options options;

@@ -35,11 +35,6 @@ CrcTables make_tables(std::uint32_t poly) {
   return tb;
 }
 
-const CrcTables& crc32_tables() {
-  static const CrcTables tb = make_tables(0xEDB88320u);
-  return tb;
-}
-
 const CrcTables& crc32c_tables() {
   static const CrcTables tb = make_tables(0x82F63B78u);
   return tb;
@@ -99,14 +94,6 @@ Crc32cUpdate pick_crc32c() {
 }
 
 }  // namespace
-
-std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t n) {
-  return slice8_update(crc32_tables(), crc, data, n);
-}
-
-std::uint32_t crc32(std::span<const std::byte> bytes) {
-  return crc32_update(kCrc32Init, bytes.data(), bytes.size()) ^ kCrc32Xor;
-}
 
 std::uint32_t crc32c_update_portable(std::uint32_t crc, const void* data, std::size_t n) {
   return slice8_update(crc32c_tables(), crc, data, n);

@@ -1,25 +1,23 @@
 // Content checksums shared by the storage and network layers.
 //
-// Three digests, three jobs:
+// Two digests, two jobs:
 //
-//   CRC-32C   the wire checksum. Every MUF1 frame, MUF2 fragment and sim
-//             Network datagram carries one (datagram_checksum,
-//             fragment_checksum); corruption becomes loss. Castagnoli,
-//             reflected polynomial 0x82F63B78. x86-64 CPUs with SSE4.2
-//             compute it with the `crc32` instruction, eight bytes per
-//             step, picked at run time; other CPUs take a slicing-by-8
-//             table path.
-//   CRC-32    guards durable ObjectState encodings and WAL records, where a
-//             flipped bit or a torn write must be *detected at read time*
-//             and quarantined rather than deserialised into a live object.
-//             Reflected polynomial 0xEDB88320 (the zlib/ethernet one); part
-//             of the on-disk format.
+//   CRC-32C   every frame, on the wire and on disk. Each MUF1 frame, MUF2
+//             fragment and sim Network datagram carries one
+//             (datagram_checksum, fragment_checksum), so corruption becomes
+//             loss; each WAL record frame ('MWL2'), WAL checkpoint ('MWC2')
+//             and commutative delta frame ('MCD2') carries one, so a flipped
+//             bit or a torn write is *detected at read time* instead of
+//             deserialised into a live object. Castagnoli, reflected
+//             polynomial 0x82F63B78. x86-64 CPUs with SSE4.2 compute it
+//             with the `crc32` instruction, eight bytes per step, picked at
+//             run time; other CPUs take a slicing-by-8 table path. It
+//             catches all single-bit errors and all burst errors up to 32
+//             bits — exactly the failure shapes a torn sector or bad cable
+//             produces.
 //   FNV-1a/64 only the content fingerprint of a blob (ctl.blob_probe and
 //             the clients that check a blob against it); no frame or
 //             record uses it.
-//
-// Both CRCs catch all single-bit errors and all burst errors up to 32 bits —
-// exactly the failure shapes a torn sector or bad cable produces.
 #pragma once
 
 #include <array>
@@ -29,19 +27,19 @@
 
 namespace mca {
 
-// Both CRCs start from and finalise with all-ones: feed `*_update` a
+// CRC-32C starts from and finalises with all-ones: feed `crc32c_update` a
 // running crc that starts at kCrc32Init and xor the end result with
 // kCrc32Xor — used when a digest spans non-contiguous fields.
 inline constexpr std::uint32_t kCrc32Init = 0xFFFFFFFFu;
 inline constexpr std::uint32_t kCrc32Xor = 0xFFFFFFFFu;
 
-// CRC-32 over `bytes`, slicing-by-8 table-driven (eight bytes retired per
-// loop iteration). Fast enough for the store-write hot path.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes);
-[[nodiscard]] std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t n);
-
 // CRC-32C running update, on the fastest path this CPU has.
 [[nodiscard]] std::uint32_t crc32c_update(std::uint32_t crc, const void* data, std::size_t n);
+
+// CRC-32C of one contiguous run of bytes: the storage formats' digest.
+[[nodiscard]] inline std::uint32_t crc32c(std::span<const std::byte> bytes) {
+  return crc32c_update(kCrc32Init, bytes.data(), bytes.size()) ^ kCrc32Xor;
+}
 
 // The table path crc32c_update takes on CPUs without SSE4.2. Callable on
 // any CPU, so the two paths can be checked against each other.

@@ -8,9 +8,11 @@ namespace mca {
 namespace {
 
 // Frames of the delta machinery: the base payload of a delta-logged type
-// ("MCB1") and the op bytes inside a chain record ("MCD1").
+// ("MCB1") and the CRC-32C-checked op bytes inside a chain record ("MCD2").
+// A chain record with the CRC-32 "MCD1" frame could only come from a WAL in
+// the CRC-32 format, which WalStore refuses to open.
 constexpr std::uint32_t kDeltaBaseMagic = 0x3142434DU;   // 'MCB1' little-endian
-constexpr std::uint32_t kDeltaFrameMagic = 0x3144434DU;  // 'MCD1' little-endian
+constexpr std::uint32_t kDeltaFrameMagic = 0x3244434DU;  // 'MCD2' little-endian
 
 }  // namespace
 
@@ -76,7 +78,7 @@ void StateManager::replay_chain_locked() {
       // key already binds the object: it was read at delta_record_uid(uid_,
       // seq), so the payload does not repeat the object uid.)
       if (epoch != delta_epoch_ || rec_seq != seq || magic != kDeltaFrameMagic ||
-          crc32(ops) != crc) {
+          crc32c(ops) != crc) {
         break;
       }
       if (!delta_applied_.contains(action)) {
@@ -198,7 +200,7 @@ void StateManager::append_delta_locked(const Uid& action, const ByteBuffer& ops)
   payload.pack_u64(delta_next_seq_);
   payload.pack_uid(action);
   payload.pack_u32(kDeltaFrameMagic);
-  payload.pack_u32(crc32(ops.bytes()));
+  payload.pack_u32(crc32c(ops.bytes()));
   payload.pack_bytes(ops.bytes());
   // The in-memory state already carries the delta; a kill in this window
   // loses only volatile memory, and the client's retransmit (not deduped —

@@ -21,10 +21,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// "MWL1" / "MWC1" little-endian: record frames and checkpoint files carry
-// distinct magics so neither can ever be mistaken for the other.
-constexpr std::uint32_t kRecordMagic = 0x314C574Du;
-constexpr std::uint32_t kCheckpointMagic = 0x3143574Du;
+// "MWL2" / "MWC2" little-endian: record frames and checkpoint files carry
+// distinct magics so neither can ever be mistaken for the other. Both are
+// CRC-32C-checked. "MWL1" / "MWC1" were the same layouts under the table
+// CRC-32; a store holding them is refused, never replayed.
+constexpr std::uint32_t kRecordMagic = 0x324C574Du;
+constexpr std::uint32_t kCheckpointMagic = 0x3243574Du;
+constexpr std::uint32_t kCrc32RecordMagic = 0x314C574Du;
+constexpr std::uint32_t kCrc32CheckpointMagic = 0x3143574Du;
 
 constexpr const char* kSegmentPrefix = "wal-";
 constexpr const char* kSegmentSuffix = ".log";
@@ -70,6 +74,18 @@ std::vector<std::byte> read_whole_file(const fs::path& path) {
   return raw;
 }
 
+// The little-endian u32 a file's bytes start with, if it has four.
+std::optional<std::uint32_t> leading_u32(std::span<const std::byte> raw) {
+  if (raw.size() < sizeof(std::uint32_t)) return std::nullopt;
+  ByteBuffer in = ByteBuffer::reader(raw.first(sizeof(std::uint32_t)));
+  return in.unpack_u32();
+}
+
+DurabilityError crc32_format_error(const fs::path& path, const char* magic) {
+  return DurabilityError(path.string() + " is in the CRC-32 WAL format ('" + magic +
+                         "'), which this build does not read; the store was left untouched");
+}
+
 // Appends one framed record to `out`. Put/PutShadow payloads are the
 // ObjectState::encode_unchecked() field sequence (uid, type, state) — the
 // frame's CRC covers the whole body, so the state's own integrity header
@@ -84,11 +100,13 @@ void frame_record(std::vector<std::byte>& out, Op op, const ObjectState* state, 
   } else {
     body.pack_uid(uid);
   }
-  ByteBuffer frame;
-  frame.pack_u32(kRecordMagic);
-  frame.pack_u32(crc32(body.bytes()));
-  frame.pack_bytes(body.bytes());
-  const auto raw = frame.bytes();
+  const auto raw = body.bytes();
+  ByteBuffer header;
+  header.pack_u32(kRecordMagic);
+  header.pack_u32(crc32c(raw));
+  header.pack_u32(static_cast<std::uint32_t>(raw.size()));  // pack_bytes' length prefix
+  out.reserve(out.size() + header.size() + raw.size());
+  out.insert(out.end(), header.bytes().begin(), header.bytes().end());
   out.insert(out.end(), raw.begin(), raw.end());
 }
 
@@ -145,7 +163,7 @@ std::size_t walk_frames(std::span<const std::byte> raw, std::map<Uid, ObjectStat
       if (in.remaining() >= kFrameHeaderBytes && in.unpack_u32() == kRecordMagic) {
         const std::uint32_t expected_crc = in.unpack_u32();
         const std::vector<std::byte> body_bytes = in.unpack_bytes();  // BufferUnderflow if torn
-        if (crc32(body_bytes) == expected_crc) {
+        if (crc32c(body_bytes) == expected_crc) {
           ByteBuffer body = ByteBuffer::reader(body_bytes);
           ok = apply_record(body, committed, shadows);
         }
@@ -171,8 +189,8 @@ std::uint64_t decode_checkpoint(std::span<const std::byte> raw,
   }
   const std::uint32_t expected_crc = in.unpack_u32();
   const std::vector<std::byte> body_bytes = in.unpack_bytes();
-  if (crc32(body_bytes) != expected_crc) {
-    throw StateCorrupt("checkpoint CRC-32 mismatch");
+  if (crc32c(body_bytes) != expected_crc) {
+    throw StateCorrupt("checkpoint CRC-32C mismatch");
   }
   ByteBuffer body = ByteBuffer::reader(body_bytes);
   const std::uint64_t covered = body.unpack_u64();
@@ -192,12 +210,31 @@ void write_fully(int fd, const std::byte* data, std::size_t n) {
     const ssize_t w = ::write(fd, data, n);
     if (w < 0) {
       if (errno == EINTR) continue;
-      throw DurabilityError(std::string("wal append failed: ") + std::strerror(errno));
+      throw DurabilityError(std::string("wal write failed: ") + std::strerror(errno));
     }
     data += static_cast<std::size_t>(w);
     n -= static_cast<std::size_t>(w);
   }
 }
+
+// Opens (creating) a segment for append.
+int open_segment(const fs::path& path) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    throw DurabilityError("cannot open wal segment " + path.string() + ": " +
+                          std::strerror(errno));
+  }
+  return fd;
+}
+
+// Closes a file descriptor on every way out of a scope, a simulated kill
+// included.
+struct FdCloser {
+  int fd;
+  ~FdCloser() {
+    if (fd >= 0) ::close(fd);
+  }
+};
 
 }  // namespace
 
@@ -215,6 +252,10 @@ WalStore::~WalStore() {
     stop_ = true;
   }
   work_cv_.notify_all();
+  checkpoint_cv_.notify_all();
+  // The checkpointer first: an in-flight checkpoint finishes, and its drain
+  // may need the committer, which flushes what is queued before it exits.
+  if (checkpointer_.joinable()) checkpointer_.join();
   if (committer_.joinable()) committer_.join();
   if (fd_ >= 0) ::close(fd_);
 }
@@ -273,34 +314,43 @@ std::vector<Uid> WalStore::shadow_uids() const {
 
 // -- writes (logged, group-committed) -----------------------------------------
 
+// A state write frames its records and copies its states before it takes
+// the lock (a blob shadow's body copies and CRC would otherwise hold up every
+// reader and flush); under it, it only checks the wedge, updates the image
+// and enqueues.
+
 void WalStore::write(const ObjectState& state) {
-  std::unique_lock lock(mutex_);
-  throw_if_wedged_locked();
   std::vector<std::byte> bytes;
   frame_record(bytes, Op::kPut, &state, state.uid());
-  committed_.insert_or_assign(state.uid(), state);
+  ObjectState copy = state;
+  std::unique_lock lock(mutex_);
+  throw_if_wedged_locked();
+  committed_.insert_or_assign(state.uid(), std::move(copy));
   log_records(lock, std::move(bytes), 1);
 }
 
 void WalStore::write_shadow(const ObjectState& state) {
-  std::unique_lock lock(mutex_);
-  throw_if_wedged_locked();
   std::vector<std::byte> bytes;
   frame_record(bytes, Op::kPutShadow, &state, state.uid());
-  shadows_.insert_or_assign(state.uid(), state);
+  ObjectState copy = state;
+  std::unique_lock lock(mutex_);
+  throw_if_wedged_locked();
+  shadows_.insert_or_assign(state.uid(), std::move(copy));
   log_records(lock, std::move(bytes), 1);
 }
 
 void WalStore::write_batch(const std::vector<ObjectState>& states, WriteKind kind) {
   if (states.empty()) return;
+  const Op op = kind == WriteKind::Shadow ? Op::kPutShadow : Op::kPut;
+  std::vector<std::byte> bytes;
+  for (const ObjectState& state : states) frame_record(bytes, op, &state, state.uid());
+  std::vector<ObjectState> copies = states;
   std::unique_lock lock(mutex_);
   throw_if_wedged_locked();
-  const Op op = kind == WriteKind::Shadow ? Op::kPutShadow : Op::kPut;
   auto& image = kind == WriteKind::Shadow ? shadows_ : committed_;
-  std::vector<std::byte> bytes;
-  for (const ObjectState& state : states) {
-    frame_record(bytes, op, &state, state.uid());
-    image.insert_or_assign(state.uid(), state);
+  for (ObjectState& state : copies) {
+    const Uid uid = state.uid();
+    image.insert_or_assign(uid, std::move(state));
   }
   // One contiguous run of records, one ticket, one durability barrier for
   // the whole batch — and the committer may merge it with other writers'.
@@ -359,7 +409,11 @@ void WalStore::ensure_committer_locked() {
 void WalStore::log_records(std::unique_lock<std::mutex>& lock, std::vector<std::byte> bytes,
                            std::size_t record_count) {
   const std::uint64_t my_epoch = epoch_;
-  pending_.insert(pending_.end(), bytes.begin(), bytes.end());
+  if (pending_.empty()) {
+    pending_ = std::move(bytes);
+  } else {
+    pending_.insert(pending_.end(), bytes.begin(), bytes.end());
+  }
   const std::uint64_t ticket = ++last_ticket_;
   pending_ticket_ = ticket;
   stats_.records.fetch_add(record_count, std::memory_order_relaxed);
@@ -392,7 +446,6 @@ void WalStore::log_records(std::unique_lock<std::mutex>& lock, std::vector<std::
     // machinery does with this exception.
     std::rethrow_exception(wedge_);
   }
-  maybe_checkpoint_locked(lock);
 }
 
 void WalStore::committer_loop() {
@@ -443,6 +496,13 @@ void WalStore::committer_loop() {
         durable_ticket_ = std::max(durable_ticket_, batch_ticket);
         active_size_ += batch.size();
         stats_.flushes.fetch_add(1, std::memory_order_relaxed);
+        // Past the threshold with no checkpoint queued or in flight: hand
+        // one to the checkpointer and go on. Nobody waits for it.
+        if (options_.checkpoint_threshold_bytes != 0 &&
+            active_size_ >= options_.checkpoint_threshold_bytes &&
+            checkpoint_requested_ == checkpoint_done_ && !stop_) {
+          (void)request_checkpoint_locked();
+        }
       }
     }
     // Wakes durable waiters, a draining checkpoint, and a crash() waiting
@@ -498,68 +558,144 @@ void WalStore::fsync_path(const fs::path& path) const {
 
 void WalStore::checkpoint() {
   std::unique_lock lock(mutex_);
-  checkpoint_locked(lock);
-}
-
-void WalStore::maybe_checkpoint_locked(std::unique_lock<std::mutex>& lock) {
-  if (options_.checkpoint_threshold_bytes == 0) return;
-  if (active_size_ < options_.checkpoint_threshold_bytes) return;
-  checkpoint_locked(lock);
-}
-
-void WalStore::checkpoint_locked(std::unique_lock<std::mutex>& lock) {
   throw_if_wedged_locked();
   const std::uint64_t my_epoch = epoch_;
-  // Drain the committer so the image covers every appended record; releasing
-  // the lock here lets it finish. Deferred records whose scope is still open,
-  // or whose covering write is not made yet, have no wake pending: start
-  // their flush instead of waiting for it.
-  work_cv_.notify_one();
-  durable_cv_.wait(lock, [&] {
-    return (pending_.empty() && !flushing_) || wedge_ != nullptr || epoch_ != my_epoch;
-  });
-  if (epoch_ != my_epoch) return;  // crashed under us — the rebuilt image is already clean
-  // A wedged image is ahead of the disk; snapshotting it would launder
-  // never-durable records into the checkpoint.
-  throw_if_wedged_locked();
-
-  const std::uint64_t covered = active_seq_;
-  ByteBuffer body;
-  body.pack_u64(covered);
-  for (const auto* image : {&committed_, &shadows_}) {
-    body.pack_u32(static_cast<std::uint32_t>(image->size()));
-    for (const auto& [uid, state] : *image) {
-      // encode_unchecked's field order — decode_unchecked reads it back.
-      body.pack_uid(state.uid());
-      body.pack_string(state.type_name());
-      body.pack_bytes(state.state().bytes());
-    }
+  const std::uint64_t job = request_checkpoint_locked();
+  durable_cv_.wait(lock, [&] { return epoch_ != my_epoch || checkpoint_done_ >= job; });
+  if (epoch_ != my_epoch) {
+    throw DurabilityError("store crashed while the checkpoint was in flight");
   }
-  ByteBuffer file;
-  file.pack_u32(kCheckpointMagic);
-  file.pack_u32(crc32(body.bytes()));
-  file.pack_bytes(body.bytes());
+  if (checkpoint_error_) std::rethrow_exception(checkpoint_error_);
+}
 
+std::uint64_t WalStore::request_checkpoint_locked() {
+  if (!checkpointer_.joinable()) {
+    checkpointer_ = std::thread([this] { checkpointer_loop(); });
+  }
+  checkpoint_cv_.notify_one();
+  return ++checkpoint_requested_;
+}
+
+void WalStore::checkpointer_loop() {
+  set_current_thread_name("mca-wal");
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    checkpoint_cv_.wait(lock, [&] { return stop_ || checkpoint_requested_ > checkpoint_started_; });
+    if (stop_) return;
+    // One run answers every request made before it starts.
+    const std::uint64_t job = checkpoint_requested_;
+    checkpoint_started_ = job;
+    std::exception_ptr error = run_checkpoint(lock);
+    checkpoint_done_ = job;
+    checkpoint_error_ = std::move(error);
+    // Wakes a checkpoint() caller, fsck() and crash().
+    durable_cv_.notify_all();
+  }
+}
+
+std::exception_ptr WalStore::run_checkpoint(std::unique_lock<std::mutex>& lock) {
+  if (wedge_) return wedge_;
+  const std::uint64_t my_epoch = epoch_;
+  const std::uint64_t covered = active_seq_;
+  std::size_t committed_count = 0;
+  std::size_t shadow_count = 0;
+  std::exception_ptr error;
+  std::string failure;
+  lock.unlock();
+  try {
+    // The next segment's directory entry is durable before any record in
+    // it can be acknowledged.
+    FdCloser next{open_segment(segment_path(covered + 1))};
+    if (options_.sync) fsync_path(dir_);
+    FdCloser retired{-1};
+    lock.lock();
+    // Drain the committer so the image covers every appended record.
+    // Deferred records whose scope is still open, or whose covering write is
+    // not made yet, have no wake pending: start their flush instead of
+    // waiting for it.
+    work_cv_.notify_one();
+    durable_cv_.wait(lock, [&] {
+      return (pending_.empty() && !flushing_) || wedge_ != nullptr || epoch_ != my_epoch;
+    });
+    if (epoch_ != my_epoch) return nullptr;  // crashed under us; recovery rebuilds from the files
+    // A wedged image is ahead of the disk; snapshotting it would launder
+    // never-durable records into the checkpoint.
+    if (wedge_) return wedge_;
+    ByteBuffer body;
+    body.pack_u64(covered);
+    for (const auto* image : {&committed_, &shadows_}) {
+      body.pack_u32(static_cast<std::uint32_t>(image->size()));
+      for (const auto& [uid, state] : *image) {
+        // encode_unchecked's field order — decode_unchecked reads it back.
+        body.pack_uid(state.uid());
+        body.pack_string(state.type_name());
+        body.pack_bytes(state.state().bytes());
+      }
+    }
+    committed_count = committed_.size();
+    shadow_count = shadows_.size();
+    // Appends go to the new segment from here on; the image holds every
+    // record of the segments through `covered`.
+    retired.fd = std::exchange(fd_, std::exchange(next.fd, -1));
+    active_seq_ = covered + 1;
+    active_size_ = 0;
+    lock.unlock();
+    ByteBuffer file;
+    file.pack_u32(kCheckpointMagic);
+    file.pack_u32(crc32c(body.bytes()));
+    file.pack_bytes(body.bytes());
+    write_checkpoint_and_compact(file.bytes(), covered);
+  } catch (const std::exception& e) {
+    error = std::current_exception();
+    failure = e.what();
+  } catch (...) {  // a CrashPointHit kill
+    error = std::current_exception();
+  }
+  if (!lock.owns_lock()) lock.lock();
+  if (!error) {
+    MCA_LOG(Info, "store") << "wal checkpoint: covered through segment " << covered << ", "
+                           << committed_count << " committed + " << shadow_count
+                           << " shadow state(s)";
+    return nullptr;
+  }
+  if (failure.empty()) {
+    // A kill on the checkpointer stands for the process dying mid-checkpoint:
+    // like one on the committer, it wedges the log until crash().
+    if (epoch_ == my_epoch) {
+      wedge_ = error;
+      work_cv_.notify_one();
+    }
+    return error;
+  }
+  // The log's own flushes succeeded and the image still matches it, so the
+  // log is not wedged: the next threshold crossing tries again.
+  std::error_code ec;
+  fs::remove(checkpoint_tmp_path(), ec);
+  MCA_LOG(Error, "store") << "wal checkpoint failed; the log and the previous checkpoint stand: "
+                          << failure;
+  return error;
+}
+
+void WalStore::write_checkpoint_and_compact(std::span<const std::byte> file,
+                                            std::uint64_t covered) {
   const fs::path tmp = checkpoint_tmp_path();
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    const auto raw = file.bytes();
-    const auto* chars = reinterpret_cast<const char*>(raw.data());
+    const FdCloser out{::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644)};
+    if (out.fd < 0) {
+      throw DurabilityError("cannot open " + tmp.string() + ": " + std::strerror(errno));
+    }
     if (crash_points::any_armed()) {
-      const std::size_t head = raw.size() / 2;
-      out.write(chars, static_cast<std::streamsize>(head));
-      out.flush();
+      const std::size_t head = file.size() / 2;
+      write_fully(out.fd, file.data(), head);
       // A kill here leaves a half-written checkpoint.tmp; recovery deletes
       // it and the previous checkpoint stays authoritative.
       MCA_CRASHPOINT("store.wal.checkpoint.mid_write");
-      out.write(chars + head, static_cast<std::streamsize>(raw.size() - head));
+      write_fully(out.fd, file.data() + head, file.size() - head);
     } else {
-      out.write(chars, static_cast<std::streamsize>(raw.size()));
+      write_fully(out.fd, file.data(), file.size());
     }
-    out.flush();
-    if (!out) throw DurabilityError("failed writing " + tmp.string());
+    if (options_.sync) fsync_fd(out.fd);
   }
-  if (options_.sync) fsync_path(tmp);
   // The tmp is complete; the rename below is the atomic cut-over.
   MCA_CRASHPOINT("store.wal.checkpoint.pre_rename");
   fs::rename(tmp, checkpoint_path());
@@ -567,15 +703,8 @@ void WalStore::checkpoint_locked(std::unique_lock<std::mutex>& lock) {
   stats_.checkpoints.fetch_add(1, std::memory_order_relaxed);
   // New checkpoint durable, covered segments still on disk — replay skips
   // them by sequence, and the compaction below (re-run by recovery) is pure
-  // garbage collection.
+  // garbage collection. So the deletions need no fsync of their own.
   MCA_CRASHPOINT("store.wal.checkpoint.pre_compact");
-
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  active_seq_ = covered + 1;
-  open_active_segment_locked();
   for (const auto& [seq, path] : list_segments()) {
     if (seq > covered) continue;
     std::error_code ec;
@@ -583,10 +712,6 @@ void WalStore::checkpoint_locked(std::unique_lock<std::mutex>& lock) {
       stats_.compacted_segments.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (options_.sync) fsync_path(dir_);
-  MCA_LOG(Info, "store") << "wal checkpoint: covered through segment " << covered << ", "
-                         << committed_.size() << " committed + " << shadows_.size()
-                         << " shadow state(s)";
 }
 
 // -- crash / recovery -------------------------------------------------------------
@@ -599,9 +724,11 @@ void WalStore::crash() {
   ++epoch_;
   pending_.clear();
   durable_cv_.notify_all();
-  // An in-flight flush finishes against the old epoch (its outcome is
-  // discarded); recovery must not replay a file mid-append.
-  durable_cv_.wait(lock, [&] { return !flushing_; });
+  // An in-flight flush or checkpoint finishes against the old epoch (its
+  // outcome is discarded); recovery must not replay a file mid-append or
+  // race a rename. A checkpoint not yet started is volatile and dies here.
+  durable_cv_.wait(lock, [&] { return !flushing_ && checkpoint_started_ == checkpoint_done_; });
+  checkpoint_requested_ = checkpoint_done_;
   recover_locked();
 }
 
@@ -626,14 +753,22 @@ void WalStore::recover_locked() {
 
   std::uint64_t covered = 0;
   if (fs::exists(checkpoint_path())) {
+    std::vector<std::byte> raw;
     try {
-      const auto raw = read_whole_file(checkpoint_path());
+      raw = read_whole_file(checkpoint_path());
+    } catch (const DurabilityError&) {
+      // Unreadable: handled as corrupt below.
+    }
+    if (leading_u32(raw) == kCrc32CheckpointMagic) {
+      throw crc32_format_error(checkpoint_path(), "MWC1");
+    }
+    try {
       covered = decode_checkpoint(raw, committed_, shadows_);
     } catch (const std::exception& e) {
-      // Corrupt checkpoint: quarantine it and fall back to pure log replay —
-      // the segments it covered are only deleted after the checkpoint is
-      // durable, so a checkpoint that cannot be read implies they are still
-      // here.
+      // Corrupt checkpoint: quarantine it and replay what the log still
+      // holds. The segments it covered were deleted once it was durable,
+      // so the states it alone carried are lost; only a kill before that
+      // compaction leaves them to replay.
       committed_.clear();
       shadows_.clear();
       covered = 0;
@@ -666,6 +801,9 @@ void WalStore::recover_locked() {
 
 void WalStore::replay_segment(const fs::path& path) {
   const auto raw = read_whole_file(path);
+  // Under CRC-32C every CRC-32 frame is a bad frame, so replay would cut
+  // the whole segment off as a torn tail: refuse it instead.
+  if (leading_u32(raw) == kCrc32RecordMagic) throw crc32_format_error(path, "MWL1");
   std::uint64_t applied = 0;
   const std::size_t good = walk_frames(raw, committed_, shadows_, &applied);
   stats_.recovered_records.fetch_add(applied, std::memory_order_relaxed);
@@ -685,15 +823,12 @@ void WalStore::replay_segment(const fs::path& path) {
 
 void WalStore::open_active_segment_locked() {
   const fs::path path = segment_path(active_seq_);
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    throw DurabilityError("cannot open wal segment " + path.string() + ": " +
-                          std::strerror(errno));
-  }
+  fd_ = open_segment(path);
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
   active_size_ = ec ? 0 : size;
 }
+
 
 // -- introspection ------------------------------------------------------------------
 
@@ -721,9 +856,13 @@ WalStore::Stats WalStore::stats() const {
 std::vector<fs::path> WalStore::fsck() const {
   std::unique_lock lock(mutex_);
   // Quiesce so a concurrent append is not misread as a torn tail (waking
-  // the committer for deferred records nobody has woken it for yet).
+  // the committer for deferred records nobody has woken it for yet), and
+  // so no checkpoint is renaming or deleting files under the scan.
   work_cv_.notify_one();
-  durable_cv_.wait(lock, [&] { return (pending_.empty() && !flushing_) || wedge_ != nullptr; });
+  durable_cv_.wait(lock, [&] {
+    return checkpoint_requested_ == checkpoint_done_ &&
+           ((pending_.empty() && !flushing_) || wedge_ != nullptr);
+  });
   std::vector<fs::path> bad;
   std::map<Uid, ObjectState> scratch_committed;
   std::map<Uid, ObjectState> scratch_shadows;

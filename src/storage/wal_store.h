@@ -10,23 +10,40 @@
 // one fsync, and wakes every waiter whose records it covered. Under
 // contention the store does strictly less than one fsync per commit.
 //
-// Record framing: [u32 magic 'MWL1'][u32 crc32(body)][u32 len][body]; body is
-// [u8 op][payload] where Put/PutShadow carry ObjectState::encode_unchecked()
-// and Remove/CommitShadow/DiscardShadow carry just the uid. Replay walks the
-// frames; the first bad magic, impossible length, or CRC mismatch is a torn
-// tail — the file is physically truncated at the last whole record, so the
-// bad record and every record after it are gone and everything before it
-// is kept. A record is the unit of atomicity; the commit protocol's shadows
-// and markers (which are just records here) own multi-record recovery.
+// Record framing: [u32 magic 'MWL2'][u32 crc32c(body)][u32 len][body]; body
+// is [u8 op][payload] where Put/PutShadow carry ObjectState::encode_unchecked()
+// and Remove/CommitShadow/DiscardShadow carry just the uid. A writer frames
+// its records before it takes the store lock, so the copies and the CRC of a
+// large state hold up no reader, flush or checkpoint; log order is fixed by
+// the enqueue under the lock. Replay walks the frames; the first bad magic,
+// impossible length, or CRC mismatch is a torn tail — the file is physically
+// truncated at the last whole record, so the bad record and every record
+// after it are gone and everything before it is kept. A record is the unit
+// of atomicity; the commit protocol's shadows and markers (which are just
+// records here) own multi-record recovery. A directory written in the CRC-32
+// format (a segment whose first frame is 'MWL1', a checkpoint that starts
+// with 'MWC1') is refused whole: the constructor throws a DurabilityError
+// naming the file and touches nothing, since replaying it would truncate
+// every record as a torn tail.
 //
-// Checkpoint/compaction: when the active segment outgrows
-// Options::checkpoint_threshold_bytes (checked by writers after their commit
-// is durable), the store snapshots its in-memory image into checkpoint.tmp,
-// fsyncs, renames to `checkpoint` (the atomic cut-over), starts a fresh
-// segment, and deletes the segments the checkpoint covers. Recovery loads
-// the checkpoint (a corrupt one is quarantined and ignored — the log still
-// replays), discards any checkpoint.tmp, deletes covered segments a crash
-// left behind, and replays the rest in sequence order.
+// Checkpoint/compaction: when a flush takes the active segment past
+// Options::checkpoint_threshold_bytes, the committer wakes the store's
+// checkpointer thread and goes on; no writer waits for checkpoint I/O. The
+// checkpointer creates segment `covered+1` and makes its directory entry
+// durable, drains the committer, and then, under the store lock, only
+// encodes the in-memory image and switches appends to the new segment.
+// With the lock released it writes checkpoint.tmp, fsyncs, renames it to
+// `checkpoint` (the atomic cut-over), fsyncs the directory and deletes the
+// segments the checkpoint covers. At most one checkpoint is in flight;
+// checkpoint() queues the same job and waits for it. A checkpoint that fails
+// (a refused fsync, a failed write) is logged at Error and changes nothing
+// the log relies on: the previous checkpoint stays authoritative, the
+// covered segments stay, and the next threshold crossing tries again. It
+// does not wedge the log, whose own flushes succeeded. Recovery loads the
+// checkpoint (a corrupt one is quarantined and ignored, and what it alone
+// held is lost: the segments it covered went once it was durable), discards
+// any checkpoint.tmp, deletes covered segments a crash left behind, and
+// replays the rest in sequence order.
 //
 // Durability policy: a failed fsync (or failed append) *wedges* the log —
 // the error is captured, every waiter and every subsequent write rethrows
@@ -46,10 +63,14 @@
 // rethrow to, so every failed flush is logged at Error; the wedge still
 // fails the next mutation.
 //
-// Threading: the committer thread is owned by the store and started lazily
-// on the first logged write — stores are constructed before the Runtime
-// spine exists, so it cannot live on the shared Executor. It is named
-// "mca-wal" and joined in the destructor.
+// Threading: the store owns two threads, both named "mca-wal", started
+// lazily and joined in the destructor — stores are constructed before the
+// Runtime spine exists, so they cannot live on the shared Executor. The
+// committer starts on the first logged write; the checkpointer on the first
+// checkpoint and sleeps on a condition variable of its own. A simulated kill
+// on the checkpointer wedges the log exactly as a kill on the committer does
+// (wedged() turns true, the next mutation rethrows the kill); crash(),
+// fsck() and the destructor wait out an in-flight checkpoint.
 #pragma once
 
 #include <atomic>
@@ -59,6 +80,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -75,8 +97,8 @@ class WalStore final : public ObjectStore {
     // cache, so tests that only need replay coverage can turn this off.
     bool sync = true;
     // Active-segment size that triggers a checkpoint + compaction, checked
-    // by writers once their own commit is durable. 0 disables automatic
-    // checkpoints (checkpoint() still works).
+    // after each flush; the checkpoint runs on the store's checkpointer. 0
+    // disables automatic checkpoints (checkpoint() still works).
     std::uint64_t checkpoint_threshold_bytes = 4ull << 20;
     // Fault-injection hook: replaces ::fsync for this store. A non-zero
     // return wedges the log (DurabilityError, counted in fsync_failures).
@@ -87,8 +109,8 @@ class WalStore final : public ObjectStore {
     std::uint64_t records = 0;            // logical records appended
     std::uint64_t flushes = 0;            // coalesced appends (one write syscall each)
     std::uint64_t fsyncs = 0;             // segment + checkpoint + directory fsyncs
-    std::uint64_t fsync_failures = 0;     // flushes the kernel refused (log wedged)
-    std::uint64_t checkpoints = 0;        // checkpoint files cut over
+    std::uint64_t fsync_failures = 0;     // fsyncs refused (a refused flush wedges the log)
+    std::uint64_t checkpoints = 0;        // checkpoint files cut over (renamed + dir fsynced)
     std::uint64_t compacted_segments = 0; // covered segments deleted
     std::uint64_t recovered_records = 0;  // records replayed at open / crash recovery
     std::uint64_t truncated_tails = 0;    // torn tails physically truncated
@@ -98,7 +120,8 @@ class WalStore final : public ObjectStore {
   // Opens (creating if needed) the store directory and runs recovery:
   // checkpoint load, covered-segment compaction, log replay, tail
   // truncation. Throws std::filesystem::filesystem_error when the directory
-  // cannot be created.
+  // cannot be created, and DurabilityError naming the file when it holds a
+  // segment or checkpoint in the CRC-32 format.
   explicit WalStore(std::filesystem::path directory);
   WalStore(std::filesystem::path directory, Options options);
   ~WalStore() override;
@@ -121,31 +144,34 @@ class WalStore final : public ObjectStore {
   [[nodiscard]] std::vector<Uid> shadow_uids() const override;
 
   // Simulated node crash: volatile state (the in-memory image, the pending
-  // queue, any blocked writers' claims) is lost; the image is rebuilt by
-  // re-running recovery against the files, truncating any torn tail the
-  // kill produced. Writers blocked mid-commit are released with a
+  // queue, any blocked writers' claims, a checkpoint not yet started) is
+  // lost; an in-flight flush or checkpoint finishes first, then the image is
+  // rebuilt by re-running recovery against the files, truncating any torn
+  // tail the kill produced. Writers blocked mid-commit are released with a
   // DurabilityError — their records may or may not have survived, exactly
   // like a real machine losing power mid-fsync.
   void crash() override;
 
   [[nodiscard]] StorageClass storage_class() const override { return StorageClass::Stable; }
 
-  // Forces a checkpoint + compaction now (also runs automatically past
-  // Options::checkpoint_threshold_bytes).
+  // Queues a checkpoint + compaction on the checkpointer (the job that also
+  // runs automatically past Options::checkpoint_threshold_bytes) and waits
+  // for it; rethrows its failure, or the wedge that stopped it.
   void checkpoint();
 
   [[nodiscard]] const std::filesystem::path& directory() const { return dir_; }
   [[nodiscard]] Stats stats() const;
 
-  // Read-only integrity scan: re-walks the checkpoint and every segment's
+  // Read-only integrity scan: waits out queued records and any queued or
+  // in-flight checkpoint, then re-walks the checkpoint and every segment's
   // frames and returns the files that fail. After recovery this must be
   // empty — the invariant checker asserts it.
   [[nodiscard]] std::vector<std::filesystem::path> fsck() const;
 
   // True once a flush failed — a DurabilityError, or a simulated kill on
-  // the committer thread — until crash()+recovery clears it. A kill in a
-  // flush no writer waits on (deferred records only) reaches no node-kill
-  // catcher; this is how its owner finds out.
+  // the committer or the checkpointer — until crash()+recovery clears it. A
+  // kill on a thread no writer waits on reaches no node-kill catcher; this
+  // is how its owner finds out.
   [[nodiscard]] bool wedged() const;
 
  protected:
@@ -185,16 +211,25 @@ class WalStore final : public ObjectStore {
 
   void throw_if_wedged_locked() const;
 
-  // Checkpoint + compaction with the store lock held; drains the committer
-  // first so the checkpoint covers every appended record.
-  void checkpoint_locked(std::unique_lock<std::mutex>& lk);
-  void maybe_checkpoint_locked(std::unique_lock<std::mutex>& lk);
+  // Queues a checkpoint job (starting the checkpointer if needed) and
+  // returns its number; a job that has not started yet absorbs later
+  // requests.
+  std::uint64_t request_checkpoint_locked();
+  void checkpointer_loop();
+  // One checkpoint, entered and left with the lock held. Returns its
+  // failure, or null on success or when a crash abandoned it.
+  std::exception_ptr run_checkpoint(std::unique_lock<std::mutex>& lk);
+  // The checkpointer's unlocked section: writes and fsyncs checkpoint.tmp,
+  // renames it, deletes the segments through `covered`. Hosts the
+  // checkpoint-window crash points.
+  void write_checkpoint_and_compact(std::span<const std::byte> file, std::uint64_t covered);
 
   // Full recovery with the lock held: loads the checkpoint, compacts covered
   // segments, replays the rest (truncating a torn tail), opens the active
   // segment for append.
   void recover_locked();
   // Replays one segment into the image; physically truncates a torn tail.
+  // Throws DurabilityError, touching nothing, on a CRC-32-format segment.
   void replay_segment(const std::filesystem::path& path);
   void open_active_segment_locked();
 
@@ -207,8 +242,11 @@ class WalStore final : public ObjectStore {
   mutable Counters stats_;
 
   mutable std::mutex mutex_;
-  mutable std::condition_variable work_cv_;     // committer sleeps here
-  mutable std::condition_variable durable_cv_;  // writers (and crash()) sleep here
+  mutable std::condition_variable work_cv_;        // committer sleeps here
+  mutable std::condition_variable checkpoint_cv_;  // checkpointer sleeps here
+  // Writers, checkpoint(), fsck() and crash() sleep here; every flush and
+  // every finished checkpoint notifies it.
+  mutable std::condition_variable durable_cv_;
 
   // In-memory image of the log (what replay would rebuild).
   std::map<Uid, ObjectState> committed_;
@@ -226,6 +264,14 @@ class WalStore final : public ObjectStore {
   std::exception_ptr wedge_;            // set once a flush fails; cleared only by recovery
 
   std::thread committer_;               // lazily started, joined in ~WalStore
+
+  // Checkpoint jobs, numbered: requested >= started >= done. One is queued
+  // while requested > started and in flight while started > done.
+  std::uint64_t checkpoint_requested_ = 0;
+  std::uint64_t checkpoint_started_ = 0;
+  std::uint64_t checkpoint_done_ = 0;
+  std::exception_ptr checkpoint_error_;  // the failure of job checkpoint_done_, if any
+  std::thread checkpointer_;             // lazily started, joined in ~WalStore
 
   // Active segment.
   int fd_ = -1;

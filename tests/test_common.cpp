@@ -306,35 +306,18 @@ TEST(Wire, TruncatedHeirsFrameAlwaysThrowsNeverHangs) {
   EXPECT_EQ(wire::unpack_heirs(whole).size(), 2u);
 }
 
-TEST(Checksum, Crc32KnownAnswers) {
-  // The CRC-32 check value: crc32("123456789") for the 0xEDB88320 reflected
-  // polynomial. Pins the digest so implementation changes (e.g. the
-  // slicing-by-8 rewrite) cannot silently invalidate every stored state.
-  const char digits[] = "123456789";
-  EXPECT_EQ(mca::crc32(std::as_bytes(std::span(digits, 9))), 0xCBF43926u);
-  EXPECT_EQ(mca::crc32({}), 0x00000000u);
-}
-
-TEST(Checksum, Crc32TailsMatchBytewise) {
-  // Lengths straddling the 8-byte slicing boundary all agree with the
-  // incremental (bytewise, one-at-a-time) form.
-  std::vector<std::byte> data(41);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i * 37 + 1);
-  for (std::size_t len = 0; len <= data.size(); ++len) {
-    std::uint32_t crc = kCrc32Init;
-    for (std::size_t i = 0; i < len; ++i) crc = crc32_update(crc, &data[i], 1);
-    EXPECT_EQ(mca::crc32(std::span(data).first(len)), crc ^ kCrc32Xor) << "len " << len;
-  }
-}
-
 TEST(Checksum, Crc32cKnownAnswers) {
   // The CRC-32C check value for the 0x82F63B78 reflected polynomial: the
-  // wire digest every host must compute, on either path.
+  // wire and storage digest every host must compute, on either path. It
+  // pins the on-disk formats too, so an implementation change cannot
+  // silently invalidate every stored record.
   const char digits[] = "123456789";
   Crc32c h;
   h.mix(digits, 9);
   EXPECT_EQ(h.digest(), 0xE3069283u);
   EXPECT_EQ(Crc32c{}.digest(), 0x00000000u);
+  EXPECT_EQ(crc32c(std::as_bytes(std::span(digits, 9))), 0xE3069283u);
+  EXPECT_EQ(crc32c({}), 0x00000000u);
   EXPECT_EQ(crc32c_update_portable(kCrc32Init, digits, 9) ^ kCrc32Xor, 0xE3069283u);
 }
 

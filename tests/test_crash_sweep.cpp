@@ -88,8 +88,13 @@ struct TempDir {
 // A WalStore starts its committer on its first write, and that thread
 // flushes whatever is queued straight away, so a covered shadow written
 // first could get a flush of its own. One waited write warms each log, so
-// the flushes the append-window cases count are the transfer's own.
-void warm(WalStore& store) { store.write(ObjectState(Uid(), "Warm", ByteBuffer())); }
+// the flushes the append-window cases count are the transfer's own; fsck()
+// then waits out the checkpoint it starts under a one-byte threshold, so the
+// checkpoint-window cases' kill lands in one of the transfer's checkpoints.
+void warm(WalStore& store) {
+  store.write(ObjectState(Uid(), "Warm", ByteBuffer()));
+  (void)store.fsck();
+}
 
 // Coordinator node 1, participants 2 and 3, each on a WalStore of its own.
 // Node 3's store is wrapped in a FaultyStore so a case can make it veto
@@ -206,11 +211,12 @@ struct Cluster {
   }
 
   // A kill inside a WalStore flush no writer waits on (lazy phase-two
-  // records only) fires on the store's committer thread, which no node-kill
-  // catcher unwinds through: the store only wedges. This plays the process
-  // death the kill stands for — it crashes every up node whose log it tore.
-  // Returns whether it crashed any. Only lazy sweep cases call it: a kill in
-  // a waited flush must take its node down through the waiting writer.
+  // records only), or inside a checkpoint, fires on a store thread (the
+  // committer, the checkpointer) that no node-kill catcher unwinds through:
+  // the store only wedges. This plays the process death the kill stands for
+  // — it crashes every up node whose log it tore. Returns whether it crashed
+  // any. Only lazy sweep cases call it: a kill in a waited flush must take
+  // its node down through the waiting writer.
   bool crash_nodes_with_wedged_logs() {
     bool crashed = false;
     const std::pair<DistNode*, const WalStore*> logs[] = {
@@ -304,9 +310,10 @@ struct SweepCase {
   unsigned skip;
   bool commits;  // expected outcome once the dust settles
   bool veto;     // node 3 vetoes phase one, forcing the abort path
-  // The window is a WAL flush of lazy phase-two records, which no writer
-  // waits on: the kill fires on the store's committer, possibly after
-  // commit() returned, and only wedges the log (crash_nodes_with_wedged_logs).
+  // The window is on a store thread no writer waits in — a WAL flush of
+  // lazy phase-two records, or a checkpoint: the kill fires on the
+  // committer or the checkpointer, possibly after commit() returned, and
+  // only wedges the log (crash_nodes_with_wedged_logs).
   bool lazy = false;
 };
 
@@ -363,7 +370,13 @@ void run_kill_window_case(const SweepCase& sc, WalStore::Options store_options =
   cl.veto_p2->store(false);
 
   if (sc.lazy) {
-    ASSERT_TRUE(wait_until([&] { return cl.crash_nodes_with_wedged_logs(); }, 5'000ms))
+    // The harness crashes the node whose log the kill wedged, unless that
+    // node's next write already rethrew the kill and took it down.
+    ASSERT_TRUE(wait_until(
+        [&] {
+          return cl.crash_nodes_with_wedged_logs() || !cl.c.up() || !cl.p1.up() || !cl.p2.up();
+        },
+        5'000ms))
         << "the fired crash point wedged no log";
   }
   const bool any_down = !cl.c.up() || !cl.p1.up() || !cl.p2.up();
@@ -458,19 +471,23 @@ TEST_P(WalCrashSweep, KillWindowThenConverge) {
 INSTANTIATE_TEST_SUITE_P(WalWindows, WalCrashSweep, ::testing::ValuesIn(kWalSweepCases),
                          sweep_case_name);
 
-// Checkpoint windows need a cluster whose stores checkpoint on every write:
-// a one-byte threshold turns the first flush after arming into a checkpoint
-// attempt, and the armed point kills node 2 inside it (its shadow batch for
-// the prepare is the first write). The vote never leaves the node, so the
-// transfer aborts — and recovery must come back clean from whatever stage
-// the checkpoint died at (partial .tmp, renamed-but-uncompacted, or fully
-// compacted).
+// Checkpoint windows need a cluster whose stores checkpoint on every flush:
+// a one-byte threshold hands the checkpointer a job after each flush, and
+// the armed point kills the first of those jobs to reach it after arming —
+// one that a participant's prepared append (shadows plus marker) started,
+// or the coordinator's decision record. Either way the flush that started
+// it is durable and acknowledged, so the node's vote (or the decision) has
+// already left when its checkpointer dies: the kill only wedges that log.
+// The harness crashes the node, or its next write rethrows the kill and
+// takes it down; the transfer commits either way, and recovery must come
+// back clean from whatever stage the checkpoint died at (partial .tmp,
+// renamed-but-uncompacted).
 class WalCheckpointWindows : public ::testing::Test {
  protected:
   static void run(const char* point) {
     WalStore::Options options;
     options.checkpoint_threshold_bytes = 1;
-    run_kill_window_case(SweepCase{point, 0, false, false}, options);
+    run_kill_window_case(SweepCase{point, 0, /*commits=*/true, false, /*lazy=*/true}, options);
   }
 };
 

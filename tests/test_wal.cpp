@@ -1,19 +1,25 @@
 // WalStore unit tests: recovery by replay, torn-tail truncation, frame
-// integrity, group commit coalescing, checkpoint/compaction, the
-// fsync-failure wedge, and a workload-equivalence check against a stable
-// MemoryStore (the durable store must behave like the reference behind the
-// ObjectStore interface, live and after a crash).
+// integrity, refusal of the CRC-32 format, group commit coalescing,
+// checkpoint/compaction on the background checkpointer, the fsync-failure
+// wedge, and a workload-equivalence check against a stable MemoryStore (the
+// durable store must behave like the reference behind the ObjectStore
+// interface, live and after a crash).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <mutex>
 #include <random>
+#include <set>
 #include <thread>
 
 #include "dist/remote.h"
@@ -243,10 +249,11 @@ TEST_F(WalTest, CheckpointCompactsAndRecoveryLoadsIt) {
     for (int i = 0; i < kWrites; ++i) {
       store.write(make_state(uids[i], "value " + std::to_string(i)));
     }
+    // fsck() waits out the checkpoint the last writes may have started.
+    EXPECT_TRUE(store.fsck().empty());
     const auto stats = store.stats();
     EXPECT_GE(stats.checkpoints, 1u);
     EXPECT_GE(stats.compacted_segments, 1u);
-    EXPECT_TRUE(store.fsck().empty());
   }
   ASSERT_TRUE(fs::exists(dir_ / "checkpoint"));
 
@@ -287,6 +294,76 @@ TEST_F(WalTest, CorruptCheckpointIsQuarantinedAndTheLogStillReplays) {
   // The store still works.
   reopened.write(make_state(a, "rewritten"));
   EXPECT_EQ(payload_of(*reopened.read(a)), "rewritten");
+}
+
+// A directory in the CRC-32 format ('MWL1' record frames, an 'MWC1'
+// checkpoint) is refused by name and left exactly as it was: under CRC-32C
+// every one of its frames would fail, so replay would cut each segment off
+// as a torn tail and quarantine the checkpoint.
+TEST_F(WalTest, OldFormatFilesAreRefusedUntouched) {
+  const auto write_file = [](const fs::path& path, const ByteBuffer& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.bytes().data()),
+              static_cast<std::streamsize>(bytes.size()));
+  };
+  const auto read_file = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  const auto listing = [this] {
+    std::set<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  };
+  const auto refusal = [this]() -> std::string {
+    try {
+      WalStore store(dir_);
+    } catch (const DurabilityError& e) {
+      return e.what();
+    }
+    return "<opened>";
+  };
+  fs::create_directories(dir_);
+
+  // A segment whose first frame is a CRC-32 record, then a torn second one.
+  ByteBuffer body;
+  body.pack_u8(3);  // a remove
+  body.pack_uid(Uid());
+  ByteBuffer segment;
+  segment.pack_u32(0x314C574Du);  // 'MWL1'
+  segment.pack_u32(0x1234ABCDu);
+  segment.pack_bytes(body.bytes());
+  segment.pack_u32(0x314C574Du);
+  const fs::path segment_path = dir_ / "wal-0000000000000002.log";
+  write_file(segment_path, segment);
+  const std::string segment_bytes = read_file(segment_path);
+  const auto files = listing();
+  std::string what = refusal();
+  EXPECT_NE(what.find(segment_path.filename().string()), std::string::npos) << what;
+  EXPECT_EQ(read_file(segment_path), segment_bytes);  // not truncated
+  EXPECT_EQ(listing(), files);
+
+  // A CRC-32 checkpoint covering that segment is refused before the segment
+  // is deleted as covered, and is not quarantined.
+  ByteBuffer image;
+  image.pack_u64(2);  // covered through segment 2
+  image.pack_u32(0);
+  image.pack_u32(0);
+  ByteBuffer checkpoint;
+  checkpoint.pack_u32(0x3143574Du);  // 'MWC1'
+  checkpoint.pack_u32(0x1234ABCDu);
+  checkpoint.pack_bytes(image.bytes());
+  write_file(dir_ / "checkpoint", checkpoint);
+  const std::string checkpoint_bytes = read_file(dir_ / "checkpoint");
+  const auto all_files = listing();
+  what = refusal();
+  EXPECT_NE(what.find("checkpoint"), std::string::npos) << what;
+  EXPECT_EQ(read_file(dir_ / "checkpoint"), checkpoint_bytes);
+  EXPECT_EQ(read_file(segment_path), segment_bytes);
+  EXPECT_EQ(listing(), all_files);
+  EXPECT_FALSE(fs::exists(dir_ / "checkpoint.quarantined"));
 }
 
 TEST_F(WalTest, FailedFsyncWedgesTheLogUntilRecovery) {
@@ -823,6 +900,193 @@ TEST_F(WalTest, AbortQueuesBehindItsOwnActionsPrepare) {
   ASSERT_TRUE(x_state.has_value());
   ByteBuffer x_value = x_state->state();
   EXPECT_EQ(x_value.unpack_i64(), 105);
+}
+
+// -- background checkpoints ----------------------------------------------------
+
+// True when `fd` is open on the file at `path`, matched by device and inode.
+bool is_file(int fd, const fs::path& path) {
+  struct stat by_fd {};
+  struct stat by_path {};
+  return ::fstat(fd, &by_fd) == 0 && ::stat(path.c_str(), &by_path) == 0 &&
+         by_fd.st_dev == by_path.st_dev && by_fd.st_ino == by_path.st_ino;
+}
+
+// Options for a store that hands its checkpointer a job after every flush
+// and parks checkpoint.tmp's fsync until release(); segment and directory
+// fsyncs pass straight through. Release before the store is destroyed: its
+// destructor waits for the checkpoint.
+struct CheckpointFsyncHold {
+  std::mutex m;
+  std::condition_variable cv;
+  bool held = false;
+  bool released = false;
+
+  WalStore::Options options(const fs::path& dir) {
+    WalStore::Options o;
+    o.checkpoint_threshold_bytes = 1;
+    o.fsync_fn = [this, tmp = dir / "checkpoint.tmp"](int fd) {
+      if (is_file(fd, tmp)) {
+        std::unique_lock lock(m);
+        held = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return released; });
+      }
+      return ::fsync(fd);
+    };
+    return o;
+  }
+  bool wait_until_held() {
+    std::unique_lock lock(m);
+    return cv.wait_for(lock, 10s, [&] { return held; });
+  }
+  void release() {
+    {
+      const std::scoped_lock lock(m);
+      released = true;
+    }
+    cv.notify_all();
+  }
+};
+
+// The checkpoint a write starts runs on the checkpointer: while it is parked
+// in checkpoint.tmp's fsync, waited writes on another thread still complete.
+TEST_F(WalTest, WriteDoesNotWaitForACheckpoint) {
+  CheckpointFsyncHold hold;
+  WalStore store(dir_, hold.options(dir_));
+  const Uid first;
+  std::vector<Uid> later(16);
+  std::thread trigger([&] { store.write(make_state(first, "starts a checkpoint")); });
+  const bool held = hold.wait_until_held();
+  EXPECT_TRUE(held) << "no checkpoint reached checkpoint.tmp's fsync";
+  auto writes = std::async(std::launch::async, [&] {
+    for (std::size_t i = 0; i < later.size(); ++i) {
+      store.write(make_state(later[i], "during " + std::to_string(i)));
+    }
+  });
+  const bool completed = writes.wait_for(10s) == std::future_status::ready;
+  EXPECT_TRUE(completed) << "waited writes queued behind the checkpoint's fsync";
+  EXPECT_EQ(store.stats().checkpoints, 0u);  // still parked
+  hold.release();
+  trigger.join();
+  writes.get();
+
+  EXPECT_TRUE(store.fsck().empty());  // waits for the checkpoint it released
+  EXPECT_GE(store.stats().checkpoints, 1u);
+  store.crash();
+  EXPECT_EQ(payload_of(*store.read(first)), "starts a checkpoint");
+  for (std::size_t i = 0; i < later.size(); ++i) {
+    EXPECT_EQ(payload_of(*store.read(later[i])), "during " + std::to_string(i));
+  }
+}
+
+// A checkpoint that fails is the checkpointer's problem alone: the durable
+// write that started it returns normally, the failure is logged, the log is
+// not wedged, the previous state of the files stands and the next
+// threshold crossing tries again. Only checkpoint(), which waits for the
+// job, rethrows it.
+TEST_F(WalTest, FailedCheckpointDoesNotFailADurableWrite) {
+  auto refused = std::make_shared<std::atomic<int>>(0);
+  WalStore::Options options;
+  options.checkpoint_threshold_bytes = 1;  // every flush starts a checkpoint
+  options.fsync_fn = [refused, tmp = dir_ / "checkpoint.tmp"](int fd) {
+    if (is_file(fd, tmp)) {
+      refused->fetch_add(1);
+      errno = EIO;
+      return -1;
+    }
+    return ::fsync(fd);
+  };
+  WalStore store(dir_, options);
+  const Uid a, b;
+  ::testing::internal::CaptureStderr();
+  EXPECT_NO_THROW(store.write(make_state(a, "first")));
+  EXPECT_TRUE(store.fsck().empty());  // waits out the checkpoint the write started
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("ERROR [store] wal checkpoint failed"), std::string::npos) << log;
+  EXPECT_EQ(refused->load(), 1);
+  EXPECT_FALSE(store.wedged());
+  EXPECT_EQ(store.stats().checkpoints, 0u);
+  EXPECT_EQ(store.stats().compacted_segments, 0u);
+  EXPECT_FALSE(fs::exists(dir_ / "checkpoint"));
+  EXPECT_FALSE(fs::exists(dir_ / "checkpoint.tmp"));
+
+  EXPECT_NO_THROW(store.write(make_state(b, "second")));
+  EXPECT_TRUE(store.fsck().empty());
+  EXPECT_EQ(refused->load(), 2);  // the next crossing tried again
+  EXPECT_THROW(store.checkpoint(), DurabilityError);
+  EXPECT_FALSE(store.wedged());
+
+  store.crash();  // every segment is still there to replay
+  EXPECT_EQ(payload_of(*store.read(a)), "first");
+  EXPECT_EQ(payload_of(*store.read(b)), "second");
+  EXPECT_EQ(store.stats().recovered_records, 2u);
+  EXPECT_TRUE(store.fsck().empty());
+}
+
+// A simulated kill on the checkpointer stands for the process dying in the
+// middle of a checkpoint: no writer unwinds through it, so it wedges the log
+// like a kill on the committer, and the next mutation rethrows it.
+TEST_F(WalTest, KillOnTheCheckpointerWedgesTheLog) {
+  WalStore::Options options;
+  options.checkpoint_threshold_bytes = 1;
+  WalStore store(dir_, options);
+  const Uid before, acknowledged, refused;
+  store.write(make_state(before, "before"));
+  EXPECT_TRUE(store.fsck().empty());  // its checkpoint is done
+
+  crash_points::reset();
+  crash_points::arm("store.wal.checkpoint.mid_write");
+  store.write(make_state(acknowledged, "acknowledged"));  // returns: its flush is durable
+  ASSERT_TRUE(eventually([&] { return store.wedged(); }));
+  EXPECT_EQ(crash_points::fire_count("store.wal.checkpoint.mid_write"), 1u);
+  std::string rethrown = "<nothing>";
+  try {
+    store.write(make_state(refused, "refused"));
+  } catch (const CrashPointHit& hit) {
+    rethrown = hit.point();
+  }
+  EXPECT_EQ(rethrown, "store.wal.checkpoint.mid_write");
+  crash_points::reset();
+
+  store.crash();
+  EXPECT_FALSE(store.wedged());
+  EXPECT_EQ(payload_of(*store.read(before)), "before");
+  EXPECT_EQ(payload_of(*store.read(acknowledged)), "acknowledged");
+  EXPECT_FALSE(store.read(refused).has_value());
+  EXPECT_FALSE(fs::exists(dir_ / "checkpoint.tmp"));
+  EXPECT_TRUE(store.fsck().empty());
+}
+
+// crash() lets an in-flight checkpoint finish before recovery reads the
+// files: a recovery run under it would delete checkpoint.tmp, replay the
+// segment the checkpoint is about to cover, and leave the checkpoint's
+// rename to fail.
+TEST_F(WalTest, CrashWaitsForAnInFlightCheckpoint) {
+  CheckpointFsyncHold hold;
+  WalStore store(dir_, hold.options(dir_));
+  const Uid a;
+  std::thread trigger([&] { store.write(make_state(a, "checkpointed")); });
+  const bool held = hold.wait_until_held();
+  EXPECT_TRUE(held) << "no checkpoint reached checkpoint.tmp's fsync";
+  std::atomic<bool> crashed{false};
+  std::thread crasher([&] {
+    store.crash();
+    crashed.store(true);
+  });
+  // However long crash() is given here, it must not return before release.
+  std::this_thread::sleep_for(50ms);
+  EXPECT_FALSE(crashed.load());
+  hold.release();
+  crasher.join();
+  trigger.join();
+
+  EXPECT_TRUE(crashed.load());
+  EXPECT_EQ(store.stats().checkpoints, 1u);
+  EXPECT_EQ(store.stats().compacted_segments, 1u);
+  EXPECT_EQ(store.stats().recovered_records, 0u);  // recovery loaded the checkpoint
+  EXPECT_EQ(payload_of(*store.read(a)), "checkpointed");
+  EXPECT_TRUE(store.fsck().empty());
 }
 
 // The WAL must agree with the reference stable store on every observable
