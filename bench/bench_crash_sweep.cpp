@@ -51,16 +51,10 @@ void BM_UnarmedCrashPoint(benchmark::State& state) {
 BENCHMARK(BM_UnarmedCrashPoint);
 
 // Fabricates `n` in-doubt prepared markers (zero prepared objects each, so
-// only marker resolution is measured) in the participant's store. Uid
-// derivation mirrors tpc.cpp's marker_uid().
-void plant_markers(ObjectStore& store, NodeId coordinator, std::size_t n) {
+// only marker resolution is measured) in the participant's store.
+void plant_markers(Runtime& rt, NodeId coordinator, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    const Uid action;
-    const Uid marker(action.hi() ^ 0x4D43415F5052455BULL, action.lo());
-    ByteBuffer payload;
-    payload.pack_u32(coordinator);
-    payload.pack_u32(0);
-    store.write(ObjectState(marker, kPreparedMarkerType, std::move(payload)));
+    ParticipantTable::write_marker(rt, {Uid(), coordinator, {}, {}});
   }
 }
 
@@ -78,7 +72,7 @@ void BM_RestartRecoveryByMarkers(benchmark::State& state) {
                                   /*backoff_max=*/1'000ms});
     for (auto _ : state) {
       participant.crash();
-      plant_markers(store, coordinator.id(), n);
+      plant_markers(participant.runtime(), coordinator.id(), n);
       // restart() runs the synchronous pass: every marker is resolved with
       // the live coordinator (no log record => presumed abort) and dropped.
       const auto start = std::chrono::steady_clock::now();

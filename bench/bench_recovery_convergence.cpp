@@ -81,8 +81,7 @@ std::chrono::duration<double> stranded_cycle(Network& net, DistNode& client, Dis
   if (!server.participants().prepare(a.uid(), permanent_colours(a), client.id())) {
     std::abort();
   }
-  CoordinatorLogParticipant log(client.runtime());
-  log.commit(a.uid(), {});
+  CoordinatorLogParticipant::write_record(client.runtime(), a.uid(), {});  // Sealed
 
   const auto unreachable_before = server.recovery_stats().coordinator_unreachable;
   net.partition(client.id(), server.id());

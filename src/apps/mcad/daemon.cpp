@@ -8,6 +8,7 @@
 #include "common/checksum.h"
 #include "dist/remote.h"
 #include "dist/tpc.h"
+#include "dist/wire.h"
 #include "sim/crash_points.h"
 
 namespace mca::apps {
@@ -88,7 +89,7 @@ ByteBuffer pack_report(const ConsistencyReport& report) {
 
 ConsistencyReport unpack_report(ByteBuffer& in) {
   ConsistencyReport report;
-  const std::uint32_t n = in.unpack_u32();
+  const std::uint32_t n = wire::unpack_count(in, 4);  // a string is ≥ its length prefix
   report.violations.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) report.violations.push_back(in.unpack_string());
   return report;
@@ -183,7 +184,7 @@ void NodeDaemon::register_control_services() {
   // exactly as application traffic would.
   rpc.register_service("ctl.apply", [this](ByteBuffer& in) {
     std::vector<TransferLeg> legs;
-    const std::uint32_t n = in.unpack_u32();
+    const std::uint32_t n = wire::unpack_count(in, 16);  // node + key + delta
     legs.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       TransferLeg leg;
@@ -300,7 +301,7 @@ void NodeDaemon::register_control_services() {
       std::string value;
     };
     std::vector<BlobLeg> legs;
-    const std::uint32_t n = in.unpack_u32();
+    const std::uint32_t n = wire::unpack_count(in, 12);  // node + key + value length
     legs.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       BlobLeg leg;

@@ -95,7 +95,12 @@ class TerminationParticipant {
 
   virtual ~TerminationParticipant() = default;
   // Phase one for the colours that become permanent; false vetoes the commit.
-  virtual bool prepare(const Uid& action, const std::vector<Colour>& permanent_colours) = 0;
+  // The default votes yes.
+  virtual bool prepare(const Uid& action, const std::vector<Colour>& permanent_colours) {
+    (void)action;
+    (void)permanent_colours;
+    return true;
+  }
   // Decision point: called once on the terminating thread after every vote
   // is in and before anything — shadow promotion, lock release, phase two —
   // happens. This is where a participant makes the commit decision durable
@@ -127,11 +132,16 @@ class TerminationParticipant {
     (void)promotions;
     return false;
   }
-  // Phase two: apply the per-colour dispositions.
-  virtual void commit(const Uid& action, const std::vector<ColourDisposition>& dispositions) = 0;
-  virtual void abort(const Uid& action) = 0;
+  // Phase two: apply the per-colour dispositions. The defaults do nothing.
+  virtual void commit(const Uid& action, const std::vector<ColourDisposition>& dispositions) {
+    (void)action;
+    (void)dispositions;
+  }
+  virtual void abort(const Uid& action) { (void)action; }
 
-  // Overlappable variants; defaults run the blocking virtual inline.
+  // What the kernel calls: the overlappable variants. The defaults run the
+  // blocking calls above inline; a participant with a remote exchange
+  // overrides these instead.
   virtual Pending start_prepare(const Uid& action,
                                 const std::vector<Colour>& permanent_colours);
   virtual Pending start_commit(const Uid& action,

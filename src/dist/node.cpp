@@ -232,17 +232,11 @@ void DistNode::register_services() {
     if (down_.load()) throw std::runtime_error("node down");
     const Uid action = args.unpack_uid();
     const NodeId coordinator = args.unpack_u32();
-    const std::uint32_t n = args.unpack_u32();
+    const std::uint32_t n = wire::unpack_count(args, 4);  // a colour name is ≥ 4 bytes
     std::vector<Colour> permanent;
     permanent.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) permanent.push_back(wire::unpack_colour(args));
-    // Trailing witness list (absent from pre-mirror coordinators).
-    std::vector<NodeId> witnesses;
-    if (args.remaining() > 0) {
-      const std::uint32_t wn = args.unpack_u32();
-      witnesses.reserve(wn);
-      for (std::uint32_t i = 0; i < wn; ++i) witnesses.push_back(args.unpack_u32());
-    }
+    const std::vector<NodeId> witnesses = wire::unpack_nodes(args);
     ByteBuffer reply;
     reply.pack_bool(participants_.prepare(action, permanent, coordinator, witnesses));
     return reply;
@@ -252,11 +246,10 @@ void DistNode::register_services() {
     if (down_.load()) throw std::runtime_error("node down");
     const Uid action = args.unpack_uid();
     const auto heirs = wire::unpack_heirs(args);
-    // Trailing commutative batch (absent from pre-delta coordinators):
-    // applied only when the mirror was lost in a crash — a live mirror's
-    // own tallies carry the same ops.
-    std::vector<wire::DeltaEntry> deltas;
-    if (args.remaining() > 0) deltas = wire::unpack_deltas(args);
+    // The action's commutative batch, possibly empty: applied only when the
+    // mirror was lost in a crash — a live mirror's own tallies carry the
+    // same ops.
+    const auto deltas = wire::unpack_deltas(args);
     participants_.commit(action, heirs, deltas);
     return ByteBuffer{};
   });
@@ -571,23 +564,24 @@ void DistNode::recover_once(bool ignore_backoff) {
     const std::scoped_lock lock(recovery_mutex_);
     opts = recovery_options_;
   }
+  // Every call of the pass (tx.status, tx.mstatus, a re-shipped tx.delta).
+  const CallOptions call{opts.call_timeout, std::chrono::milliseconds(50),
+                         std::chrono::milliseconds(200), /*retry_budget=*/4};
   // Our own coordinator log first: an interrupted local promotion or mirror
   // fan-out is resolved before we go asking anyone about markers.
   try {
-    reconcile_coordinator_log(opts);
+    reconcile_coordinator_log(call);
   } catch (const CrashPointHit& hit) {
     MCA_LOG(Info, "node") << "node " << id_ << " killed at crash point " << hit.point()
                           << " during log reconciliation";
     crash();
     return;
   }
-  for (const auto& entry : participants_.in_doubt()) {
-    const Uid& action = entry.action;
-    const NodeId coordinator = entry.coordinator;
+  for (const ParticipantTable::Marker& marker : participants_.in_doubt()) {
     if (down_.load() || !rpc_.up()) break;
     {
       const std::scoped_lock lock(recovery_mutex_);
-      auto it = recovery_backoff_.find(action);
+      auto it = recovery_backoff_.find(marker.action);
       if (!ignore_backoff && it != recovery_backoff_.end() &&
           std::chrono::steady_clock::now() < it->second.first) {
         continue;  // not due yet
@@ -595,20 +589,18 @@ void DistNode::recover_once(bool ignore_backoff) {
       ++recovery_stats_.attempts;
     }
     ByteBuffer args;
-    args.pack_uid(action);
-    RpcResult r = rpc_.call(coordinator, "tx.status", std::move(args),
-                            CallOptions{opts.call_timeout, std::chrono::milliseconds(50),
-                                        std::chrono::milliseconds(200), /*retry_budget=*/4});
+    args.pack_uid(marker.action);
+    RpcResult r = rpc_.call(marker.coordinator, "tx.status", std::move(args), call);
     if (!r.ok()) {
-      // Dead coordinator: its witness mirrors (named by the prepared
-      // marker) can resolve the outcome without waiting for it to return.
-      if (!entry.witnesses.empty() && resolve_from_witnesses(entry, opts)) {
-        if (down_.load()) return;  // a crash point fired mid-resolution
+      // Dead coordinator: the witnesses its marker names can resolve the
+      // outcome without waiting for it to return.
+      if (const auto verdict = witness_verdict(marker.action, marker.witnesses, call)) {
+        if (!apply_verdict(marker, *verdict, /*from_witness=*/true)) return;
         continue;
       }
       const std::scoped_lock lock(recovery_mutex_);
       ++recovery_stats_.coordinator_unreachable;
-      auto& [due, backoff] = recovery_backoff_[action];
+      auto& [due, backoff] = recovery_backoff_[marker.action];
       backoff = backoff.count() == 0 ? opts.period
                                      : std::min(opts.backoff_max, backoff * 2);
       due = std::chrono::steady_clock::now() + backoff;
@@ -620,97 +612,75 @@ void DistNode::recover_once(bool ignore_backoff) {
       // protocol will reach us; retry at the base period.
       const std::scoped_lock lock(recovery_mutex_);
       ++recovery_stats_.still_pending;
-      recovery_backoff_.erase(action);
+      recovery_backoff_.erase(marker.action);
       continue;
     }
-    const bool committed = status == TxStatus::Committed;
-    {
-      const std::scoped_lock lock(recovery_mutex_);
-      resolving_ = action;
-    }
-    try {
-      // The verdict is known but nothing durable reflects it yet.
-      MCA_CRASHPOINT("node.recovery.post_status_pre_resolve");
-      participants_.resolve_prepared(action, committed);
-    } catch (const CrashPointHit& hit) {
-      // Catches the point above and any storage/tpc window inside the
-      // resolution itself (e.g. commit_shadow's pre-rename). The daemon
-      // thread must not leak the exception; die here instead.
-      MCA_LOG(Info, "node") << "node " << id_ << " killed at crash point " << hit.point()
-                            << " during recovery";
-      crash();
-      return;
-    }
-    {
-      const std::scoped_lock lock(recovery_mutex_);
-      ++(committed ? recovery_stats_.resolved_committed : recovery_stats_.resolved_aborted);
-      recovery_backoff_.erase(action);
-      resolving_.reset();
-    }
-    MCA_LOG(Info, "node") << "recovery: action " << action << " resolved as "
-                          << (committed ? "committed" : "aborted");
+    if (!apply_verdict(marker, status == TxStatus::Committed, /*from_witness=*/false)) return;
   }
 }
 
-bool DistNode::resolve_from_witnesses(const ParticipantTable::InDoubtEntry& entry,
-                                      const RecoveryOptions& opts) {
-  // Commit once ANY witness holds the mirrored decision; abort once EVERY
-  // witness answered with a fence. The fences are sticky, so the two
-  // verdicts are mutually exclusive even across retries and other
-  // recovering participants. Anything less — some witness unreachable, no
-  // copy found yet — keeps the action in doubt.
-  bool committed = false;
-  bool all_fenced = true;
-  for (const NodeId w : entry.witnesses) {
+std::optional<bool> DistNode::witness_verdict(const Uid& action,
+                                              const std::vector<NodeId>& witnesses,
+                                              const CallOptions& call) {
+  bool all_fenced = !witnesses.empty();
+  for (const NodeId w : witnesses) {
     ByteBuffer args;
-    args.pack_uid(entry.action);
-    RpcResult r = rpc_.call(w, "tx.mstatus", std::move(args),
-                            CallOptions{opts.call_timeout, std::chrono::milliseconds(50),
-                                        std::chrono::milliseconds(200), /*retry_budget=*/4});
+    args.pack_uid(action);
+    RpcResult r = rpc_.call(w, "tx.mstatus", std::move(args), call);
     if (!r.ok()) {
       all_fenced = false;
-      continue;
-    }
-    if (static_cast<TxStatus>(r.payload.unpack_u8()) == TxStatus::Committed) {
-      committed = true;
-      break;
+    } else if (static_cast<TxStatus>(r.payload.unpack_u8()) == TxStatus::Committed) {
+      return true;
     }
   }
-  if (!committed && !all_fenced) return false;
+  if (all_fenced) return false;
+  return std::nullopt;
+}
+
+bool DistNode::apply_verdict(const ParticipantTable::Marker& marker, bool committed,
+                             bool from_witness) {
   {
     const std::scoped_lock lock(recovery_mutex_);
-    resolving_ = entry.action;
+    resolving_ = marker.action;
   }
   try {
+    // The verdict is known but nothing durable reflects it yet.
     MCA_CRASHPOINT("node.recovery.post_status_pre_resolve");
-    participants_.resolve_prepared(entry.action, committed);
+    participants_.resolve_prepared(marker.action, committed);
   } catch (const CrashPointHit& hit) {
+    // Catches the point above and any storage/tpc window inside the
+    // resolution itself (e.g. commit_shadow's pre-rename). The daemon
+    // thread must not leak the exception; die here instead.
     MCA_LOG(Info, "node") << "node " << id_ << " killed at crash point " << hit.point()
-                          << " during witness recovery";
+                          << " during recovery";
     crash();
-    return true;  // the caller checks down_ and ends the pass
+    return false;
   }
   {
     const std::scoped_lock lock(recovery_mutex_);
     ++(committed ? recovery_stats_.resolved_committed : recovery_stats_.resolved_aborted);
-    ++recovery_stats_.resolved_from_witness;
-    recovery_backoff_.erase(entry.action);
+    if (from_witness) ++recovery_stats_.resolved_from_witness;
+    recovery_backoff_.erase(marker.action);
     resolving_.reset();
   }
-  MCA_LOG(Info, "node") << "recovery: action " << entry.action << " resolved as "
-                        << (committed ? "committed" : "aborted") << " from "
-                        << entry.witnesses.size() << " witness(es); coordinator "
-                        << entry.coordinator << " still down";
+  MCA_LOG(Info, "node") << "recovery: action " << marker.action << " resolved as "
+                        << (committed ? "committed" : "aborted")
+                        << (from_witness ? " by its witnesses" : " by its coordinator");
   return true;
 }
 
-void DistNode::reconcile_coordinator_log(const RecoveryOptions& opts) {
+void DistNode::reconcile_coordinator_log(const CallOptions& call) {
   using CLP = CoordinatorLogParticipant;
-  const auto redo = [this](const std::vector<Uid>& uids) {
-    for (const Uid& u : uids) {
+  // A decided record's local shadows are promoted, then its redo list is
+  // retired (the record turns Applied).
+  const auto apply = [this](const Uid& action, CLP::Record& rec) {
+    for (const Uid& u : rec.redo_uids) {
       runtime_->default_store().commit_shadow(u);
       if (LockManaged* obj = resolve(u)) obj->invalidate_activation();
     }
+    rec.state = CLP::RecordState::Applied;
+    rec.redo_uids.clear();
+    CLP::write_record(*runtime_, action, rec);
   };
   for (const Uid& action : CLP::logged_actions(*runtime_)) {
     // An action still registered here is being terminated by its own
@@ -720,82 +690,61 @@ void DistNode::reconcile_coordinator_log(const RecoveryOptions& opts) {
     // behind by a crash are ours — the liveness test tx.status applies.
     if (!runtime_->ancestry().path_of(action).empty()) continue;
     auto rec = CLP::read_record(*runtime_, action);
-    if (!rec || rec->state == CLP::RecordState::Applied) continue;
-    if (rec->state == CLP::RecordState::Sealed) {
-      if (rec->redo_uids.empty()) continue;  // legacy or pure-client record
-      // The crash hit between sealing the decision and promoting our own
-      // shadows: redo the promotion, then retire the list.
-      redo(rec->redo_uids);
-      CLP::write_record(*runtime_, action, CLP::RecordState::Applied, rec->witnesses, {});
-      continue;
-    }
-    if (rec->state == CLP::RecordState::Delta) {
-      // Fast-path commit interrupted mid-fan-out: the record's batches are
-      // the redo information. Re-apply locally and re-ship each remote
-      // node's batch; every application is idempotent (chain dedup), so a
-      // batch that did land before the crash is a no-op now. Only retire
-      // the record once every node took its batch.
-      bool all_applied = true;
-      for (const auto& [node, entries] : rec->delta_nodes) {
-        if (node == id_) {
-          for (const wire::DeltaEntry& d : entries) {
-            if (LockManaged* obj = resolve(d.object)) {
-              ByteBuffer ops(d.ops);
-              obj->commit_delta(action, &ops);
-            }
+    if (!rec) continue;
+    switch (rec->state) {
+      case CLP::RecordState::Applied:
+        break;
+      case CLP::RecordState::Sealed:
+        // The crash hit between sealing the decision and promoting our own
+        // shadows (none: the coordinator had nothing local to promote).
+        if (!rec->redo_uids.empty()) apply(action, *rec);
+        break;
+      case CLP::RecordState::Delta: {
+        // Fast-path commit interrupted mid-fan-out: the record's batches
+        // are the redo information. Re-apply locally and re-ship each
+        // remote node's batch; every application is idempotent (chain
+        // dedup), so a batch that did land before the crash is a no-op
+        // now. Only retire the record once every node took its batch.
+        bool all_applied = true;
+        for (const auto& [node, entries] : rec->delta_nodes) {
+          if (node == id_) {
+            participants_.apply_deltas(action, entries);
+            continue;
           }
-          continue;
+          ByteBuffer args;
+          args.pack_uid(action);
+          wire::pack_deltas(args, entries);
+          if (!rpc_.call(node, "tx.delta", std::move(args), call).ok()) all_applied = false;
         }
-        ByteBuffer args;
-        args.pack_uid(action);
-        wire::pack_deltas(args, entries);
-        RpcResult r = rpc_.call(node, "tx.delta", std::move(args),
-                                CallOptions{opts.call_timeout, std::chrono::milliseconds(50),
-                                            std::chrono::milliseconds(200), /*retry_budget=*/4});
-        if (!r.ok()) all_applied = false;
+        if (all_applied) {
+          CLP::remove_record(*runtime_, action);
+          MCA_LOG(Info, "node") << "reconcile: delta commit " << action
+                                << " re-shipped to every node";
+        }
+        // else: a node is unreachable — leave the record for the next pass.
+        break;
       }
-      if (all_applied) {
-        CLP::remove_record(*runtime_, action);
-        MCA_LOG(Info, "node") << "reconcile: delta commit " << action
-                              << " re-shipped to every node";
-      }
-      // else: a node is unreachable — leave the record for the next pass.
-      continue;
-    }
-    // Pending: the mirror fan-out was interrupted mid-decision. Resolve the
-    // record exactly the way a recovering participant would.
-    bool committed = false;
-    bool all_fenced = true;
-    for (const NodeId w : rec->witnesses) {
-      ByteBuffer args;
-      args.pack_uid(action);
-      RpcResult r = rpc_.call(w, "tx.mstatus", std::move(args),
-                              CallOptions{opts.call_timeout, std::chrono::milliseconds(50),
-                                          std::chrono::milliseconds(200), /*retry_budget=*/4});
-      if (!r.ok()) {
-        all_fenced = false;
-        continue;
-      }
-      if (static_cast<TxStatus>(r.payload.unpack_u8()) == TxStatus::Committed) {
-        committed = true;
+      case CLP::RecordState::Pending: {
+        // The mirror fan-out was interrupted mid-decision. Resolve the
+        // record exactly the way a recovering participant would; while some
+        // witness is unreachable it stays Pending, tx.status keeps
+        // answering Pending and the next pass retries.
+        const std::optional<bool> verdict = witness_verdict(action, rec->witnesses, call);
+        if (verdict == true) {
+          rec->state = CLP::RecordState::Sealed;
+          CLP::write_record(*runtime_, action, *rec);
+          apply(action, *rec);
+          MCA_LOG(Info, "node") << "reconcile: pending decision " << action
+                                << " sealed from a surviving witness copy";
+        } else if (verdict == false) {
+          for (const Uid& u : rec->redo_uids) runtime_->default_store().discard_shadow(u);
+          CLP::remove_record(*runtime_, action);
+          MCA_LOG(Info, "node") << "reconcile: pending decision " << action
+                                << " fenced by every witness — presumed abort";
+        }
         break;
       }
     }
-    if (committed) {
-      CLP::write_record(*runtime_, action, CLP::RecordState::Sealed, rec->witnesses,
-                        rec->redo_uids);
-      redo(rec->redo_uids);
-      CLP::write_record(*runtime_, action, CLP::RecordState::Applied, rec->witnesses, {});
-      MCA_LOG(Info, "node") << "reconcile: pending decision " << action
-                            << " sealed from a surviving witness copy";
-    } else if (all_fenced) {
-      for (const Uid& u : rec->redo_uids) runtime_->default_store().discard_shadow(u);
-      CLP::remove_record(*runtime_, action);
-      MCA_LOG(Info, "node") << "reconcile: pending decision " << action
-                            << " fenced by every witness — presumed abort";
-    }
-    // else: some witness unreachable — leave the record Pending; tx.status
-    // keeps answering Pending and the next pass retries.
   }
 }
 

@@ -202,15 +202,24 @@ class DistNode {
   [[nodiscard]] RpcResult call_blocking(NodeId target, const std::string& service,
                                         ByteBuffer request, CallOptions options);
 
-  // Coordinator unreachable: try the witness mirrors its prepared marker
-  // names. True when the entry was resolved (or this node died trying).
-  bool resolve_from_witnesses(const ParticipantTable::InDoubtEntry& entry,
-                              const RecoveryOptions& opts);
+  // The witnesses' verdict on `action`: commit (true) once any of them
+  // holds the mirrored decision, abort (false) once every one answered with
+  // a fence, nullopt otherwise (no witnesses, one unreachable, no copy
+  // found yet). The fences are sticky, so the two verdicts are mutually
+  // exclusive across retries and across recovering nodes. Shared by
+  // in-doubt markers whose coordinator is dead and by this node's own
+  // Pending log records.
+  std::optional<bool> witness_verdict(const Uid& action, const std::vector<NodeId>& witnesses,
+                                      const CallOptions& call);
+  // The one resolve step of an in-doubt marker, whichever route gave the
+  // verdict (tx.status or the witnesses): applies it, counts it and clears
+  // the action's backoff. False when a crash point killed this node.
+  bool apply_verdict(const ParticipantTable::Marker& marker, bool committed, bool from_witness);
   // Restart/daemon reconciliation of this node's own coordinator log:
   // redo interrupted local promotions of Sealed records, resolve Pending
-  // records against their witnesses, skipping actions still live here.
-  // May throw CrashPointHit.
-  void reconcile_coordinator_log(const RecoveryOptions& opts);
+  // records against their witnesses, re-ship Delta records, skipping
+  // actions still live here. May throw CrashPointHit.
+  void reconcile_coordinator_log(const CallOptions& call);
   // Periodic timer callback: short, non-blocking — hands the actual pass to
   // the executor's blocking lane (at most one pass in flight).
   void on_recovery_timer();

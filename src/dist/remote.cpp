@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "dist/wire.h"
+
 #include "objects/commutative_counter.h"
 #include "objects/commutative_set.h"
 #include "objects/recoverable_int.h"
@@ -19,7 +21,7 @@ void pack_string_list(ByteBuffer& out, const std::vector<std::string>& items) {
 }
 
 std::vector<std::string> unpack_string_list(ByteBuffer& in) {
-  const std::uint32_t n = in.unpack_u32();
+  const std::uint32_t n = wire::unpack_count(in, 4);  // a string is ≥ its length prefix
   std::vector<std::string> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(in.unpack_string());

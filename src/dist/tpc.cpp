@@ -12,27 +12,58 @@
 namespace mca {
 namespace {
 
-// Protocol records live in the same stores as object states; their keys are
-// derived from the action uid so they cannot collide with each other when a
-// node both coordinates and participates. Each derivation XORs a constant
-// into the high word, so it is its own inverse: applied to a key it gives
-// back the action uid.
+// The high-word constants of protocol_record_key, by ProtocolRecord.
+constexpr std::uint64_t kRecordKeyMasks[] = {
+    0x4D43415F5052455BULL,  // PreparedMarker
+    0x4D43415F434C4F47ULL,  // CoordinatorLog
+    0x4D43415F4D495252ULL,  // WitnessCopy
+    0x4D43415F544F4D42ULL,  // WitnessTombstone
+};
+
 Uid marker_uid(const Uid& action) {
-  return Uid(action.hi() ^ 0x4D43415F5052455BULL, action.lo());
+  return protocol_record_key(ProtocolRecord::PreparedMarker, action);
 }
 
 Uid log_uid(const Uid& action) {
-  return Uid(action.hi() ^ 0x4D43415F434C4F47ULL, action.lo());
+  return protocol_record_key(ProtocolRecord::CoordinatorLog, action);
 }
 
-// Witness-side keys: the mirrored decision copy and the sticky fence a
-// recovering participant leaves when it finds no copy.
-Uid mirror_uid(const Uid& action) {
-  return Uid(action.hi() ^ 0x4D43415F4D495252ULL, action.lo());
+// The decoders: nullopt when `state` is not a record of their kind; a
+// malformed payload throws BufferUnderflow.
+std::optional<ParticipantTable::Marker> decode_marker(const ObjectState& state) {
+  if (state.type_name() != kPreparedMarkerType) return std::nullopt;
+  ByteBuffer payload = ByteBuffer::reader(state.state());
+  ParticipantTable::Marker marker;
+  marker.action = marker_uid(state.uid());
+  marker.coordinator = payload.unpack_u32();
+  const std::uint32_t n = wire::unpack_count(payload, 20);  // uid + colour name (≥ 4)
+  marker.prepared.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Uid object = payload.unpack_uid();
+    marker.prepared.emplace_back(object, wire::unpack_colour(payload));
+  }
+  marker.witnesses = wire::unpack_nodes(payload);
+  return marker;
 }
 
-Uid tomb_uid(const Uid& action) {
-  return Uid(action.hi() ^ 0x4D43415F544F4D42ULL, action.lo());
+std::optional<CoordinatorLogParticipant::Record> decode_record(const ObjectState& state) {
+  using RecordState = CoordinatorLogParticipant::RecordState;
+  if (state.type_name() != kCoordinatorLogType) return std::nullopt;
+  ByteBuffer payload = ByteBuffer::reader(state.state());
+  CoordinatorLogParticipant::Record record;
+  record.state = static_cast<RecordState>(payload.unpack_u8());
+  if (record.state == RecordState::Delta) {
+    const std::uint32_t n = wire::unpack_count(payload, 8);  // id + entry count
+    record.delta_nodes.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const NodeId id = payload.unpack_u32();
+      record.delta_nodes.emplace_back(id, wire::unpack_deltas(payload));
+    }
+  } else {
+    record.witnesses = wire::unpack_nodes(payload);
+    record.redo_uids = wire::unpack_path(payload);  // a uid list, packed as a path is
+  }
+  return record;
 }
 
 // Number of blocking re-deliveries a phase-two wait() makes after the
@@ -68,6 +99,10 @@ struct RetryState {
 };
 
 }  // namespace
+
+Uid protocol_record_key(ProtocolRecord kind, const Uid& action) {
+  return Uid(action.hi() ^ kRecordKeyMasks[static_cast<std::size_t>(kind)], action.lo());
+}
 
 ParticipantTable::ParticipantTable(Runtime& rt, ObjectResolver resolve)
     : rt_(rt), resolve_(std::move(resolve)) {}
@@ -121,22 +156,23 @@ std::size_t ParticipantTable::mirror_count() const {
   return mirrors_.size();
 }
 
-void ParticipantTable::write_marker(const Uid& action, NodeId coordinator,
-                                    const std::vector<std::pair<Uid, Colour>>& prepared,
-                                    const std::vector<NodeId>& witnesses) {
+void ParticipantTable::write_marker(Runtime& rt, const Marker& marker) {
   ByteBuffer payload;
-  payload.pack_u32(coordinator);
-  payload.pack_u32(static_cast<std::uint32_t>(prepared.size()));
-  for (const auto& [uid, colour] : prepared) {
+  payload.pack_u32(marker.coordinator);
+  payload.pack_u32(static_cast<std::uint32_t>(marker.prepared.size()));
+  for (const auto& [uid, colour] : marker.prepared) {
     payload.pack_uid(uid);
     wire::pack_colour(payload, colour);
   }
-  // Trailing so markers written before witnesses existed still parse; readers
-  // that only care about the prepared list never reach these bytes.
-  payload.pack_u32(static_cast<std::uint32_t>(witnesses.size()));
-  for (const NodeId w : witnesses) payload.pack_u32(w);
-  rt_.default_store().write(ObjectState(marker_uid(action), kPreparedMarkerType,
-                                        std::move(payload)));
+  wire::pack_nodes(payload, marker.witnesses);
+  rt.default_store().write(
+      ObjectState(marker_uid(marker.action), kPreparedMarkerType, std::move(payload)));
+}
+
+std::optional<ParticipantTable::Marker> ParticipantTable::read_marker(Runtime& rt,
+                                                                      const Uid& action) {
+  const auto state = rt.default_store().read(marker_uid(action));
+  return state ? decode_marker(*state) : std::nullopt;
 }
 
 void ParticipantTable::drop_marker(const Uid& action) {
@@ -186,7 +222,7 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
   // back as a presumed abort with any orphaned shadows swept by
   // discard_unreferenced_shadows().
   MCA_CRASHPOINT("tpc.participant.post_shadow_pre_marker");
-  write_marker(action, coordinator, mirror.prepared, witnesses);
+  write_marker(rt_, Marker{action, coordinator, mirror.prepared, witnesses});
   MCA_CRASHPOINT("tpc.participant.prepare.post_marker");
   return true;
 }
@@ -200,14 +236,7 @@ void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInf
     // tallies are gone, and the chain dedup keeps a re-shipped batch from
     // double-applying.
     resolve_in_doubt(action, /*committed=*/true);
-    for (const wire::DeltaEntry& d : deltas) {
-      if (LockManaged* object = resolve_(d.object)) {
-        ByteBuffer ops(d.ops);
-        object->commit_delta(action, &ops);
-      } else {
-        MCA_LOG(Warn, "tpc") << "delta batch for unknown object " << d.object << "; dropped";
-      }
-    }
+    apply_deltas(action, deltas);
     return;
   }
   Mirror& mirror = *held.mirror;
@@ -304,18 +333,21 @@ void ParticipantTable::commit_delta(const Uid& action,
     }
     mirror->action->finish_mirror();
   } else {
-    // Crash (or retransmit after the mirror retired): apply the shipped
-    // batch through the resolver; the chain dedup makes repeats no-ops.
-    for (const wire::DeltaEntry& d : deltas) {
-      if (LockManaged* object = resolve_(d.object)) {
-        ByteBuffer ops(d.ops);
-        object->commit_delta(action, &ops);
-      } else {
-        MCA_LOG(Warn, "tpc") << "delta batch for unknown object " << d.object << "; dropped";
-      }
-    }
+    apply_deltas(action, deltas);  // crash, or a retransmit after the mirror retired
   }
   MCA_CRASHPOINT("tpc.delta.post_apply_pre_ack");
+}
+
+void ParticipantTable::apply_deltas(const Uid& action,
+                                    const std::vector<wire::DeltaEntry>& deltas) {
+  for (const wire::DeltaEntry& d : deltas) {
+    if (LockManaged* object = resolve_(d.object)) {
+      ByteBuffer ops(d.ops);
+      object->commit_delta(action, &ops);
+    } else {
+      MCA_LOG(Warn, "tpc") << "delta batch for unknown object " << d.object << "; dropped";
+    }
+  }
 }
 
 void ParticipantTable::abort(const Uid& action) {
@@ -372,26 +404,12 @@ void ParticipantTable::crash() {
   }
 }
 
-std::vector<ParticipantTable::InDoubtEntry> ParticipantTable::in_doubt() const {
-  std::vector<InDoubtEntry> out;
+std::vector<ParticipantTable::Marker> ParticipantTable::in_doubt() const {
+  std::vector<Marker> out;
   for (const Uid& uid : rt_.default_store().uids()) {
-    auto state = rt_.default_store().read(uid);
-    if (!state || state->type_name() != kPreparedMarkerType) continue;
-    ByteBuffer payload = state->state();
-    InDoubtEntry entry;
-    entry.coordinator = payload.unpack_u32();
-    const std::uint32_t n = payload.unpack_u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      (void)payload.unpack_uid();
-      (void)wire::unpack_colour(payload);
-    }
-    // Witness list is a trailing extension: absent in pre-witness markers.
-    if (payload.remaining() > 0) {
-      const std::uint32_t wn = payload.unpack_u32();
-      for (std::uint32_t i = 0; i < wn; ++i) entry.witnesses.push_back(payload.unpack_u32());
-    }
-    entry.action = marker_uid(uid);  // the key derivation is its own inverse
-    out.push_back(std::move(entry));
+    const auto state = rt_.default_store().read(uid);
+    if (!state) continue;
+    if (auto marker = decode_marker(*state)) out.push_back(std::move(*marker));
   }
   return out;
 }
@@ -403,21 +421,12 @@ std::size_t ParticipantTable::discard_unreferenced_shadows() {
   // or discards them with the record's outcome.
   std::unordered_set<Uid> referenced;
   for (const Uid& uid : rt_.default_store().uids()) {
-    auto state = rt_.default_store().read(uid);
+    const auto state = rt_.default_store().read(uid);
     if (!state) continue;
-    if (state->type_name() == kCoordinatorLogType) {
-      if (auto rec = CoordinatorLogParticipant::read_record(rt_, log_uid(uid))) {
-        for (const Uid& u : rec->redo_uids) referenced.insert(u);
-      }
-      continue;
-    }
-    if (state->type_name() != kPreparedMarkerType) continue;
-    ByteBuffer payload = state->state();
-    (void)payload.unpack_u32();  // coordinator
-    const std::uint32_t n = payload.unpack_u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      referenced.insert(payload.unpack_uid());
-      (void)wire::unpack_colour(payload);
+    if (const auto record = decode_record(*state)) {
+      referenced.insert(record->redo_uids.begin(), record->redo_uids.end());
+    } else if (const auto marker = decode_marker(*state)) {
+      for (const auto& [object, colour] : marker->prepared) referenced.insert(object);
     }
   }
   std::size_t dropped = 0;
@@ -463,14 +472,9 @@ void ParticipantTable::resolve_prepared(const Uid& action, bool committed) {
 }
 
 void ParticipantTable::resolve_in_doubt(const Uid& action, bool committed) {
-  auto state = rt_.default_store().read(marker_uid(action));
-  if (!state) return;
-  ByteBuffer payload = state->state();
-  (void)payload.unpack_u32();  // coordinator
-  const std::uint32_t n = payload.unpack_u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Uid object = payload.unpack_uid();
-    (void)wire::unpack_colour(payload);
+  const auto marker = read_marker(rt_, action);
+  if (!marker) return;
+  for (const auto& [object, colour] : marker->prepared) {
     if (committed) {
       rt_.default_store().commit_shadow(object);
       if (LockManaged* obj = resolve_(object)) obj->invalidate_activation();
@@ -492,22 +496,6 @@ RpcParticipant::RpcParticipant(DistNode& local, NodeId target, AtomicAction& own
     : local_(local), target_(target), owner_(owner) {}
 
 std::string RpcParticipant::key_for(NodeId target) { return "node:" + std::to_string(target); }
-
-bool RpcParticipant::prepare(const Uid& action, const std::vector<Colour>& permanent) {
-  Pending pending = start_prepare(action, permanent);
-  return pending.wait ? pending.wait() : true;
-}
-
-void RpcParticipant::commit(const Uid& action,
-                            const std::vector<ColourDisposition>& dispositions) {
-  Pending pending = start_commit(action, dispositions);
-  if (pending.wait) (void)pending.wait();
-}
-
-void RpcParticipant::abort(const Uid& action) {
-  Pending pending = start_abort(action);
-  if (pending.wait) (void)pending.wait();
-}
 
 void RpcParticipant::note_delta_batch(const Uid& object, std::vector<std::byte> ops) {
   const std::scoped_lock lock(delta_mutex_);
@@ -533,27 +521,38 @@ TerminationParticipant::Pending RpcParticipant::start_delta(const Uid& action) {
   ByteBuffer args;
   args.pack_uid(action);
   wire::pack_deltas(args, delta_entries());
-  const CallOptions options{local_.tpc_call_timeout(), std::chrono::milliseconds(100)};
-  RpcFuture fut = local_.rpc().call_async(target_, "tx.delta", args, options);
-  auto retry = std::make_shared<RetryState>();
-  auto wait = [this, fut, args = std::move(args), options, retry, action]() mutable {
-    RpcResult r = fut.get();
-    // The one-phase apply must reach the participant; re-deliver through
-    // the peer-health layer exactly like phase two. The server applies the
-    // batch idempotently (chain dedup), so redelivery is safe. Past the
-    // budget the coordinator-log Delta record is the redo source.
-    for (int attempt = 0; !r.ok() && attempt < kPhaseTwoRetries; ++attempt) {
-      const auto pause = std::max<std::chrono::milliseconds>(
-          local_.rpc().peer_probe_wait(target_), std::chrono::milliseconds(10));
-      if (!retry->sleep(pause)) break;  // cancelled
-      r = local_.rpc().call(target_, "tx.delta", args, options);
-    }
-    if (r.ok()) {
+  // The one-phase apply must reach the participant exactly like phase two.
+  // The server applies the batch idempotently (chain dedup), so redelivery
+  // is safe. Past the budget the coordinator-log Delta record is the redo
+  // source.
+  return deliver("tx.delta", std::move(args), [this, action](bool acked) {
+    if (acked) {
       delta_acked_.store(true);
     } else {
       MCA_LOG(Warn, "tpc") << "delta commit " << action << " to node " << target_
                            << " undelivered; coordinator log keeps the redo batch";
     }
+  });
+}
+
+TerminationParticipant::Pending RpcParticipant::deliver(const char* service, ByteBuffer args,
+                                                        std::function<void(bool)> done) {
+  const CallOptions options{local_.tpc_call_timeout(), std::chrono::milliseconds(100)};
+  RpcFuture fut = local_.rpc().call_async(target_, service, args, options);
+  auto retry = std::make_shared<RetryState>();
+  auto wait = [this, fut, service, args = std::move(args), options, retry,
+               done = std::move(done)]() mutable {
+    RpcResult r = fut.get();
+    // Re-deliver through the peer-health layer: sleep to the suspected
+    // peer's probe slot and let the call be the probe (call_blocking's
+    // pattern).
+    for (int attempt = 0; !r.ok() && attempt < kPhaseTwoRetries; ++attempt) {
+      const auto pause = std::max<std::chrono::milliseconds>(
+          local_.rpc().peer_probe_wait(target_), std::chrono::milliseconds(10));
+      if (!retry->sleep(pause)) break;  // cancelled
+      r = local_.rpc().call(target_, service, args, options);
+    }
+    done(r.ok());
     return true;
   };
   return Pending{std::move(wait),
@@ -592,8 +591,7 @@ TerminationParticipant::Pending RpcParticipant::start_prepare(
   args.pack_u32(local_.id());
   args.pack_u32(static_cast<std::uint32_t>(permanent.size()));
   for (const Colour c : permanent) wire::pack_colour(args, c);
-  args.pack_u32(static_cast<std::uint32_t>(witnesses.size()));
-  for (const NodeId w : witnesses) args.pack_u32(w);
+  wire::pack_nodes(args, witnesses);
   RpcFuture fut = local_.rpc().call_async(
       target_, "tx.prepare", std::move(args),
       CallOptions{local_.tpc_call_timeout(), std::chrono::milliseconds(100)});
@@ -654,44 +652,22 @@ TerminationParticipant::Pending RpcParticipant::start_commit(
   ByteBuffer args;
   args.pack_uid(action);
   wire::pack_heirs(args, heirs);
-  // Mixed action: the commutative part of the write set rides phase two as
-  // a trailing batch (absent for pre-delta servers), so a participant that
-  // crashed after accumulating tallies still gets the deltas re-applied.
-  const std::vector<wire::DeltaEntry> deltas = delta_entries();
-  if (!deltas.empty()) wire::pack_deltas(args, deltas);
+  // The commutative part of the write set, possibly empty, rides phase two
+  // so a participant that crashed after accumulating tallies still gets a
+  // mixed action's deltas re-applied.
+  wire::pack_deltas(args, delta_entries());
 
   // Fires once per remote participant: armed with skip=k, the coordinator
   // dies having fanned the outcome out to exactly k participants.
   MCA_CRASHPOINT("tpc.coord.commit.pre_send");
-  const CallOptions options{local_.tpc_call_timeout(), std::chrono::milliseconds(100)};
-  RpcFuture fut = local_.rpc().call_async(target_, "tx.commit", args, options);
-  auto retry = std::make_shared<RetryState>();
-  auto wait = [this, fut, args = std::move(args), options, retry, action]() mutable {
-    RpcResult r = fut.get();
-    // Phase two must reach the participant: re-deliver through the
-    // peer-health layer — sleep to the suspected peer's probe slot and let
-    // the call be the probe (call_blocking's pattern). A node down past the
-    // budget resolves the action itself, from the coordinator log.
-    for (int attempt = 0; !r.ok() && attempt < kPhaseTwoRetries; ++attempt) {
-      const auto pause = std::max<std::chrono::milliseconds>(
-          local_.rpc().peer_probe_wait(target_), std::chrono::milliseconds(10));
-      if (!retry->sleep(pause)) break;  // cancelled
-      r = local_.rpc().call(target_, "tx.commit", args, options);
-    }
-    if (!r.ok()) {
+  // Phase two must reach the participant. A node down past the budget
+  // resolves the action itself, from the coordinator log.
+  return deliver("tx.commit", std::move(args), [this, action](bool acked) {
+    if (!acked) {
       MCA_LOG(Warn, "tpc") << "commit " << action << " to node " << target_
                            << " undelivered; participant recovery will resolve it";
     }
-    return true;
-  };
-  return Pending{std::move(wait),
-                 [fut, retry] {
-                   retry->cancel();
-                   fut.cancel();
-                 },
-                 [fut](std::function<void(bool)> fn) {
-                   fut.on_complete([fn = std::move(fn)](const RpcResult&) { fn(true); });
-                 }};
+  });
 }
 
 TerminationParticipant::Pending RpcParticipant::start_abort(const Uid& action) {
@@ -722,50 +698,50 @@ TerminationParticipant::Pending RpcParticipant::start_abort(const Uid& action) {
 }
 
 CoordinatorLogParticipant::CoordinatorLogParticipant(DistNode& node)
-    : rt_(node.runtime()), node_(&node), witnesses_(node.coordinator_mirrors()) {}
+    : rt_(node.runtime()), node_(node) {
+  record_.witnesses = node.coordinator_mirrors();
+}
 
 bool CoordinatorLogParticipant::decide_commit(const Uid& action,
                                               const std::vector<Uid>& prepared_objects) {
-  redo_uids_ = prepared_objects;
-  if (node_ == nullptr || witnesses_.empty()) {
-    // Witness-less mode: one sealed write is the whole decision. Keeping it
-    // to a single durable write preserves the store flush order the crash
-    // sweep pins down for the unmirrored protocol.
-    write_record(rt_, action, RecordState::Sealed, {}, redo_uids_);
-    decided_ = true;
-    return true;
-  }
+  record_.redo_uids = prepared_objects;
+  // Witness-less mode skips straight to the sealed write: one durable write
+  // is the whole decision, the store flush order the crash sweep pins down
+  // for the unmirrored protocol.
+  if (!record_.witnesses.empty()) {
+    record_.state = RecordState::Pending;
+    write_record(rt_, action, record_);
+    // A coordinator dying in this window left a pending record and zero-or-
+    // more mirrors: participants resolve from the witnesses (copy anywhere →
+    // commit; all fenced → abort), and restart reconciliation does the same.
+    MCA_CRASHPOINT("tpc.coord.post_log_pre_mirror");
 
-  write_record(rt_, action, RecordState::Pending, witnesses_, redo_uids_);
-  // A coordinator dying in this window left a pending record and zero-or-
-  // more mirrors: participants resolve from the witnesses (copy anywhere →
-  // commit; all fenced → abort), and restart reconciliation does the same.
-  MCA_CRASHPOINT("tpc.coord.post_log_pre_mirror");
-
-  ByteBuffer args;
-  args.pack_uid(action);
-  const CallOptions options{node_->tpc_call_timeout(), std::chrono::milliseconds(100)};
-  std::size_t acks = 0;
-  for (const NodeId w : witnesses_) {
-    // Fires once per witness: armed with skip=k, the coordinator dies having
-    // mirrored the decision to exactly k witnesses.
-    MCA_CRASHPOINT("tpc.coord.mirror.pre_send");
-    RpcResult r = node_->rpc().call(w, "tx.mirror", args, options);
-    if (!r.ok()) continue;
-    ByteBuffer payload = r.payload;
-    if (!payload.unpack_bool()) ++acks;  // false = not fenced: decision recorded
+    ByteBuffer args;
+    args.pack_uid(action);
+    const CallOptions options{node_.tpc_call_timeout(), std::chrono::milliseconds(100)};
+    std::size_t acks = 0;
+    for (const NodeId w : record_.witnesses) {
+      // Fires once per witness: armed with skip=k, the coordinator dies
+      // having mirrored the decision to exactly k witnesses.
+      MCA_CRASHPOINT("tpc.coord.mirror.pre_send");
+      RpcResult r = node_.rpc().call(w, "tx.mirror", args, options);
+      if (!r.ok()) continue;
+      ByteBuffer payload = r.payload;
+      if (!payload.unpack_bool()) ++acks;  // false = not fenced: decision recorded
+    }
+    if (acks == 0) {
+      // No mirror holds the decision, so a recovering participant that
+      // fences every witness will presume abort — the only decision still
+      // consistent with that verdict is to abort ourselves. Sound because
+      // nothing has been promoted anywhere yet.
+      remove_record(rt_, action);
+      MCA_LOG(Warn, "tpc") << "commit " << action
+                           << ": no witness acknowledged the decision record — aborting";
+      return false;
+    }
   }
-  if (acks == 0) {
-    // No mirror holds the decision, so a recovering participant that fences
-    // every witness will presume abort — the only decision still consistent
-    // with that verdict is to abort ourselves. Sound because nothing has
-    // been promoted anywhere yet.
-    remove_record(rt_, action);
-    MCA_LOG(Warn, "tpc") << "commit " << action
-                         << ": no witness acknowledged the decision record — aborting";
-    return false;
-  }
-  write_record(rt_, action, RecordState::Sealed, witnesses_, redo_uids_);
+  record_.state = RecordState::Sealed;
+  write_record(rt_, action, record_);
   decided_ = true;
   return true;
 }
@@ -780,17 +756,15 @@ bool CoordinatorLogParticipant::promote_covered(const Uid& action,
   promotions.promote();
   // Retire the redo list so this record can never promote a *later*
   // action's shadow on the same object during restart reconciliation.
-  if (!redo_uids_.empty()) write_record(rt_, action, RecordState::Applied, witnesses_, {});
+  if (!record_.redo_uids.empty()) {
+    record_.state = RecordState::Applied;
+    record_.redo_uids.clear();
+    write_record(rt_, action, record_);
+  }
   return true;
 }
 
-void CoordinatorLogParticipant::commit(const Uid& action,
-                                       const std::vector<ColourDisposition>&) {
-  if (!decided_) {
-    // Direct phase-two callers that bypassed the kernel's decision point
-    // (recovery benches drive commit() by hand) still get a durable record.
-    rt_.default_store().write(ObjectState(log_uid(action), kCoordinatorLogType, ByteBuffer{}));
-  }
+void CoordinatorLogParticipant::commit(const Uid&, const std::vector<ColourDisposition>&) {
   // The decision is durable but no participant has heard it: every remote
   // mirror is in doubt and only recovery-vs-the-log can finish the commit.
   MCA_CRASHPOINT("tpc.coord.post_log_pre_phase2");
@@ -802,14 +776,15 @@ bool CoordinatorLogParticipant::decide_delta(const Uid& action) {
   // Gather every node's batch: armed remote participants carry the op
   // batches the servers shipped back per invoke; local delta tallies are
   // read straight off their objects.
-  std::vector<std::pair<NodeId, std::vector<wire::DeltaEntry>>> nodes;
+  Record record;
+  record.state = RecordState::Delta;
   std::vector<wire::DeltaEntry> local;
   std::size_t remote_armed = 0;
   for (const auto& p : owner->participants_snapshot()) {
     if (const auto* rpc = dynamic_cast<const RpcParticipant*>(p.get())) {
       if (!rpc->armed()) continue;
       ++remote_armed;
-      nodes.emplace_back(rpc->target(), rpc->delta_entries());
+      record.delta_nodes.emplace_back(rpc->target(), rpc->delta_entries());
     } else if (const auto* tally = dynamic_cast<const StateManager::DeltaTally*>(p.get())) {
       if (auto ops = tally->object().pending_delta_ops(action)) {
         const auto span = ops->bytes();
@@ -824,13 +799,13 @@ bool CoordinatorLogParticipant::decide_delta(const Uid& action) {
     delta_logged_ = false;
     return true;
   }
-  if (node_ != nullptr && !local.empty()) nodes.emplace_back(node_->id(), std::move(local));
+  if (!local.empty()) record.delta_nodes.emplace_back(node_.id(), std::move(local));
   // The record is the redo source for a coordinator crash mid-fan-out. It
   // is deliberately NOT witness-mirrored: it carries redo batches, not a
   // commit-vs-abort verdict — no participant is ever in doubt about a
   // delta action (there are no prepared markers), so only this node's own
   // restart reconciliation ever reads it.
-  write_delta_record(rt_, action, nodes);
+  write_record(rt_, action, record);
   delta_logged_ = true;
   return true;
 }
@@ -846,20 +821,6 @@ void CoordinatorLogParticipant::finish_delta(const Uid& action) {
   remove_record(rt_, action);
 }
 
-void CoordinatorLogParticipant::write_delta_record(
-    Runtime& rt, const Uid& action,
-    const std::vector<std::pair<NodeId, std::vector<wire::DeltaEntry>>>& nodes) {
-  ByteBuffer payload;
-  payload.pack_u8(static_cast<std::uint8_t>(RecordState::Delta));
-  payload.pack_u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const auto& [id, entries] : nodes) {
-    payload.pack_u32(id);
-    wire::pack_deltas(payload, entries);
-  }
-  rt.default_store().write(
-      ObjectState(log_uid(action), kCoordinatorLogType, std::move(payload)));
-}
-
 bool CoordinatorLogParticipant::committed(Runtime& rt, const Uid& action) {
   return logged_status(rt, action) == TxStatus::Committed;
 }
@@ -870,40 +831,28 @@ TxStatus CoordinatorLogParticipant::logged_status(Runtime& rt, const Uid& action
   return rec->state == RecordState::Pending ? TxStatus::Pending : TxStatus::Committed;
 }
 
-void CoordinatorLogParticipant::write_record(Runtime& rt, const Uid& action, RecordState state,
-                                             const std::vector<NodeId>& witnesses,
-                                             const std::vector<Uid>& redo_uids) {
+void CoordinatorLogParticipant::write_record(Runtime& rt, const Uid& action,
+                                             const Record& record) {
   ByteBuffer payload;
-  payload.pack_u8(static_cast<std::uint8_t>(state));
-  payload.pack_u32(static_cast<std::uint32_t>(witnesses.size()));
-  for (const NodeId w : witnesses) payload.pack_u32(w);
-  payload.pack_u32(static_cast<std::uint32_t>(redo_uids.size()));
-  for (const Uid& u : redo_uids) payload.pack_uid(u);
+  payload.pack_u8(static_cast<std::uint8_t>(record.state));
+  if (record.state == RecordState::Delta) {
+    payload.pack_u32(static_cast<std::uint32_t>(record.delta_nodes.size()));
+    for (const auto& [id, entries] : record.delta_nodes) {
+      payload.pack_u32(id);
+      wire::pack_deltas(payload, entries);
+    }
+  } else {
+    wire::pack_nodes(payload, record.witnesses);
+    wire::pack_path(payload, record.redo_uids);
+  }
   rt.default_store().write(
       ObjectState(log_uid(action), kCoordinatorLogType, std::move(payload)));
 }
 
 std::optional<CoordinatorLogParticipant::Record> CoordinatorLogParticipant::read_record(
     Runtime& rt, const Uid& action) {
-  auto state = rt.default_store().read(log_uid(action));
-  if (!state || state->type_name() != kCoordinatorLogType) return std::nullopt;
-  Record rec;
-  ByteBuffer payload = state->state();
-  if (payload.exhausted()) return rec;  // legacy empty record: sealed decision
-  rec.state = static_cast<RecordState>(payload.unpack_u8());
-  if (rec.state == RecordState::Delta) {
-    const std::uint32_t nn = wire::unpack_count(payload, 8);  // id + entry count
-    for (std::uint32_t i = 0; i < nn; ++i) {
-      const NodeId id = payload.unpack_u32();
-      rec.delta_nodes.emplace_back(id, wire::unpack_deltas(payload));
-    }
-    return rec;
-  }
-  const std::uint32_t wn = payload.unpack_u32();
-  for (std::uint32_t i = 0; i < wn; ++i) rec.witnesses.push_back(payload.unpack_u32());
-  const std::uint32_t un = payload.unpack_u32();
-  for (std::uint32_t i = 0; i < un; ++i) rec.redo_uids.push_back(payload.unpack_uid());
-  return rec;
+  const auto state = rt.default_store().read(log_uid(action));
+  return state ? decode_record(*state) : std::nullopt;
 }
 
 void CoordinatorLogParticipant::remove_record(Runtime& rt, const Uid& action) {
@@ -925,9 +874,12 @@ std::vector<Uid> CoordinatorLogParticipant::logged_actions(Runtime& rt) {
 // Witness side
 // ---------------------------------------------------------------------------
 
+// Both witness records are empty: the key and the type are the record.
+
 bool WitnessLog::record_decision(Runtime& rt, const Uid& action) {
   if (has_tombstone(rt, action)) return false;
-  rt.default_store().write(ObjectState(mirror_uid(action), kMirrorDecisionType, ByteBuffer{}));
+  rt.default_store().write(ObjectState(protocol_record_key(ProtocolRecord::WitnessCopy, action),
+                                       kMirrorDecisionType, ByteBuffer{}));
   return true;
 }
 
@@ -936,17 +888,21 @@ TxStatus WitnessLog::status_or_fence(Runtime& rt, const Uid& action) {
   // The fence: from here on this witness permanently refuses the decision
   // record, so "all witnesses fenced" can never later coexist with "a copy
   // exists somewhere".
-  rt.default_store().write(ObjectState(tomb_uid(action), kMirrorTombstoneType, ByteBuffer{}));
+  rt.default_store().write(ObjectState(
+      protocol_record_key(ProtocolRecord::WitnessTombstone, action), kMirrorTombstoneType,
+      ByteBuffer{}));
   return TxStatus::Aborted;
 }
 
 bool WitnessLog::has_decision(Runtime& rt, const Uid& action) {
-  auto state = rt.default_store().read(mirror_uid(action));
+  const auto state =
+      rt.default_store().read(protocol_record_key(ProtocolRecord::WitnessCopy, action));
   return state.has_value() && state->type_name() == kMirrorDecisionType;
 }
 
 bool WitnessLog::has_tombstone(Runtime& rt, const Uid& action) {
-  auto state = rt.default_store().read(tomb_uid(action));
+  const auto state =
+      rt.default_store().read(protocol_record_key(ProtocolRecord::WitnessTombstone, action));
   return state.has_value() && state->type_name() == kMirrorTombstoneType;
 }
 

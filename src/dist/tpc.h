@@ -23,6 +23,14 @@
 // touches a given remote node; forwards the action kernel's termination
 // callbacks to that node, and at commit time propagates itself to the heir
 // actions so inherited state is eventually resolved at the server.
+//
+// Durable records — this header and tpc.cpp are the only code that knows
+// the protocol's four records, each with one key derivation, one encoder
+// and one decoder (DESIGN.md §5.7):
+//   prepared marker     ParticipantTable::write_marker / read_marker
+//   coordinator log     CoordinatorLogParticipant::write_record / read_record
+//   witness copy        WitnessLog::record_decision / has_decision
+//   witness tombstone   WitnessLog::status_or_fence / has_tombstone
 #pragma once
 
 #include <atomic>
@@ -47,6 +55,19 @@ inline constexpr const char* kCoordinatorLogType = "__mca_coordlog__";
 inline constexpr const char* kMirrorDecisionType = "__mca_mirrorlog__";
 inline constexpr const char* kMirrorTombstoneType = "__mca_mirrortomb__";
 
+// The store key of an action's protocol record of one kind: the action uid
+// with a per-kind constant XORed into its high word. The four keys of one
+// action are distinct, so a node that coordinates, participates in and
+// witnesses the same action keeps its records apart, and each derivation is
+// its own inverse, so a key read back from the store gives the action.
+enum class ProtocolRecord : std::uint8_t {
+  PreparedMarker,
+  CoordinatorLog,
+  WitnessCopy,
+  WitnessTombstone
+};
+[[nodiscard]] Uid protocol_record_key(ProtocolRecord kind, const Uid& action);
+
 // Answer of a coordinator's tx.status service (wire value, u8). Pending
 // means the coordinator still knows the action as live — it has not decided
 // yet, so the participant must stay in doubt; presumed abort applies only
@@ -70,6 +91,20 @@ class ParticipantTable {
                                            const ColourSet& colours);
 
   [[nodiscard]] bool has_mirror(const Uid& action) const;
+
+  // A stable prepared marker, the participant's durable vote: the
+  // coordinator to ask, the (object, colour) pairs whose shadows prepare
+  // wrote, and the witnesses that can answer for a dead coordinator. The
+  // payload is u32 coordinator, u32 count + (uid, colour name) per pair,
+  // u32 count + u32 per witness; the action is the key.
+  struct Marker {
+    Uid action;
+    NodeId coordinator = 0;
+    std::vector<std::pair<Uid, Colour>> prepared;
+    std::vector<NodeId> witnesses;
+  };
+  static void write_marker(Runtime& rt, const Marker& marker);
+  [[nodiscard]] static std::optional<Marker> read_marker(Runtime& rt, const Uid& action);
 
   // Phase one. Returns false (veto) when the mirror is missing (e.g. lost in
   // a crash) or a shadow write fails. `witnesses` are the coordinator-log
@@ -97,6 +132,12 @@ class ParticipantTable {
   // batch idempotent in either case.
   void commit_delta(const Uid& action, const std::vector<wire::DeltaEntry>& deltas);
 
+  // Applies a shipped commutative batch through the object resolver, for an
+  // action with no live mirror here (crash, retransmit, or restart's re-ship
+  // of a Delta record); the per-(action, seq) chain dedup makes a repeat a
+  // no-op.
+  void apply_deltas(const Uid& action, const std::vector<wire::DeltaEntry>& deltas);
+
   void abort(const Uid& action);
 
   // Crash simulation: drops all mirrors and their prepared bookkeeping
@@ -110,15 +151,8 @@ class ParticipantTable {
   // the whole node is going away.
   void drop_mirrors();
 
-  // Stable prepared markers awaiting resolution, with their coordinators
-  // and (possibly empty) witness lists.
-  struct InDoubtEntry {
-    Uid action;
-    NodeId coordinator = 0;
-    std::vector<NodeId> witnesses;
-  };
-  [[nodiscard]] std::vector<InDoubtEntry> in_doubt() const;
-  [[nodiscard]] std::size_t in_doubt_count() const { return in_doubt().size(); }
+  // Stable prepared markers awaiting resolution.
+  [[nodiscard]] std::vector<Marker> in_doubt() const;
 
   // Marker-driven resolution used at recovery.
   void resolve_in_doubt(const Uid& action, bool committed);
@@ -170,9 +204,6 @@ class ParticipantTable {
   void retire(const Uid& action, Mirror& mirror);
   void abort_held(const Uid& action, Mirror& mirror);
 
-  void write_marker(const Uid& action, NodeId coordinator,
-                    const std::vector<std::pair<Uid, Colour>>& prepared,
-                    const std::vector<NodeId>& witnesses);
   void drop_marker(const Uid& action);
 
   Runtime& rt_;
@@ -218,13 +249,7 @@ class RpcParticipant final : public TerminationParticipant {
   // build its redo record).
   [[nodiscard]] std::vector<wire::DeltaEntry> delta_entries() const;
 
-  // Blocking surface: start_*().wait() thin wrappers (used by the serial
-  // ablation path).
-  bool prepare(const Uid& action, const std::vector<Colour>& permanent) override;
-  void commit(const Uid& action, const std::vector<ColourDisposition>& dispositions) override;
-  void abort(const Uid& action) override;
-
-  // Overlappable surface used by the parallel termination path. The
+  // The kernel drives a remote node through these only. The
   // coordinator-local work (heir bookkeeping, crash points) runs inline on
   // the terminating thread; the RPC exchange rides an RpcFuture. Phase-two
   // delivery retries through the peer-health machinery (the suspected
@@ -235,6 +260,11 @@ class RpcParticipant final : public TerminationParticipant {
   Pending start_abort(const Uid& action) override;
 
  private:
+  // The phase-two delivery ladder of tx.commit and tx.delta: one async
+  // call, then up to kPhaseTwoRetries re-deliveries, each after a pause to
+  // the peer's probe slot; `done` learns whether the participant acked.
+  Pending deliver(const char* service, ByteBuffer args, std::function<void(bool)> done);
+
   DistNode& local_;
   NodeId target_;
   AtomicAction& owner_;
@@ -257,7 +287,7 @@ class RpcParticipant final : public TerminationParticipant {
 // sealed record = committed, pending record = still deciding, absent =
 // presumed abort.
 //
-// Record states (payload byte 0; a legacy empty payload reads as Sealed):
+// Record states (payload byte 0):
 //   Pending  written before the mirror fan-out. A coordinator that dies
 //            here is resolved by its witnesses: participants that find a
 //            mirrored copy commit; participants that fence every witness
@@ -271,6 +301,7 @@ class RpcParticipant final : public TerminationParticipant {
 //   Applied  local promotion done; the redo list is cleared so a later
 //            transaction's shadow on the same object can never be promoted
 //            by this record.
+//   Delta    the one-phase commutative path's redo record (decide_delta).
 //
 // The record covers the kernel's default-store shadows at both ends of the
 // commit (DESIGN.md §5.4). Covered prepare: decision_store() tells the
@@ -284,19 +315,26 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
  public:
   enum class RecordState : std::uint8_t { Pending = 0, Sealed = 1, Applied = 2, Delta = 3 };
 
-  // Local-only log: no witnesses, decisions are durable on this node alone
-  // (the pre-mirror behaviour, still used by purely local coordinators).
-  explicit CoordinatorLogParticipant(Runtime& rt) : rt_(rt) {}
+  // The record. Pending, Sealed and Applied carry u8 state, u32 count + u32
+  // per witness, u32 count + uid per redo uid; Delta carries u8 state, u32
+  // node count, and per node a u32 id and its batch (wire::pack_deltas).
+  struct Record {
+    RecordState state = RecordState::Sealed;
+    std::vector<NodeId> witnesses;
+    std::vector<Uid> redo_uids;
+    // Delta records only: per-node redo batches (the coordinator's own
+    // node id carries the local batch).
+    std::vector<std::pair<NodeId, std::vector<wire::DeltaEntry>>> delta_nodes;
+  };
 
-  // Node-attached log: mirrors every decision to node.coordinator_mirrors().
+  // Mirrors every decision to node.coordinator_mirrors() (none: the
+  // decision is durable on this node alone).
   explicit CoordinatorLogParticipant(DistNode& node);
 
-  bool prepare(const Uid&, const std::vector<Colour>&) override { return true; }
   bool decide_commit(const Uid& action, const std::vector<Uid>& prepared_objects) override;
   [[nodiscard]] ObjectStore* decision_store() const override { return &rt_.default_store(); }
   bool promote_covered(const Uid& action, const ShadowCover& promotions) override;
   void commit(const Uid& action, const std::vector<ColourDisposition>&) override;
-  void abort(const Uid&) override {}
 
   // Fast path: the log never blocks it (it holds no locks), and its
   // decide_delta is the durable decision point — it gathers every node's
@@ -319,7 +357,7 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
   // after joining them.
   void set_owner(AtomicAction& owner) { owner_.store(&owner, std::memory_order_relaxed); }
 
-  [[nodiscard]] const std::vector<NodeId>& witnesses() const { return witnesses_; }
+  [[nodiscard]] const std::vector<NodeId>& witnesses() const { return record_.witnesses; }
 
   // True when `action` committed according to this coordinator's log (a
   // sealed or applied record; a pending record is not yet a decision).
@@ -330,37 +368,22 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
   static TxStatus logged_status(Runtime& rt, const Uid& action);
 
   // Durable record surgery shared with restart reconciliation.
-  static void write_record(Runtime& rt, const Uid& action, RecordState state,
-                           const std::vector<NodeId>& witnesses,
-                           const std::vector<Uid>& redo_uids);
-  struct Record {
-    RecordState state = RecordState::Sealed;
-    std::vector<NodeId> witnesses;
-    std::vector<Uid> redo_uids;
-    // Delta records only: per-node redo batches (the coordinator's own
-    // node id carries the local batch).
-    std::vector<std::pair<NodeId, std::vector<wire::DeltaEntry>>> delta_nodes;
-  };
+  static void write_record(Runtime& rt, const Uid& action, const Record& record);
   [[nodiscard]] static std::optional<Record> read_record(Runtime& rt, const Uid& action);
   static void remove_record(Runtime& rt, const Uid& action);
   // Actions with a coordinator-log record in `rt`'s store (restart
   // reconciliation enumerates these).
   [[nodiscard]] static std::vector<Uid> logged_actions(Runtime& rt);
 
-  // Writes a Delta record (state + per-node batches; no witnesses, no redo
-  // uids — the batches *are* the redo information).
-  static void write_delta_record(
-      Runtime& rt, const Uid& action,
-      const std::vector<std::pair<NodeId, std::vector<wire::DeltaEntry>>>& nodes);
-
  private:
   Runtime& rt_;
-  DistNode* node_ = nullptr;
+  DistNode& node_;
   std::atomic<AtomicAction*> owner_{nullptr};  // set by set_owner; needed by the fast path
-  std::vector<NodeId> witnesses_;
-  bool decided_ = false;            // decide_commit wrote + sealed the record
-  bool delta_logged_ = false;       // decide_delta wrote a Delta record
-  std::vector<Uid> redo_uids_;      // local shadows the record promises to promote
+  // The decision record decide_commit writes: the witnesses it mirrors to
+  // and the local shadows it promises to promote.
+  Record record_;
+  bool decided_ = false;       // decide_commit wrote + sealed the record
+  bool delta_logged_ = false;  // decide_delta wrote a Delta record
 };
 
 // Witness-side mirrored-decision log (services tx.mirror / tx.mstatus).

@@ -7,6 +7,7 @@
 
 #include "common/buffer.h"
 #include "core/atomic_action.h"
+#include "net/transport.h"
 
 namespace mca::wire {
 
@@ -18,6 +19,20 @@ inline std::uint32_t unpack_count(ByteBuffer& in, std::size_t min_element_bytes)
   const std::uint32_t n = in.unpack_u32();
   if (n > in.remaining() / min_element_bytes) throw BufferUnderflow();
   return n;
+}
+
+// Node-id lists (witnesses): a u32 count, then one u32 per node.
+inline void pack_nodes(ByteBuffer& out, const std::vector<NodeId>& nodes) {
+  out.pack_u32(static_cast<std::uint32_t>(nodes.size()));
+  for (const NodeId n : nodes) out.pack_u32(n);
+}
+
+inline std::vector<NodeId> unpack_nodes(ByteBuffer& in) {
+  const std::uint32_t n = unpack_count(in, 4);
+  std::vector<NodeId> nodes;
+  nodes.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) nodes.push_back(in.unpack_u32());
+  return nodes;
 }
 
 inline void pack_colour(ByteBuffer& out, Colour c) { out.pack_string(c.name()); }

@@ -136,7 +136,6 @@ class StateManager {
     [[nodiscard]] StateManager& object() const { return object_; }
     [[nodiscard]] Colour colour() const { return colour_; }
 
-    bool prepare(const Uid&, const std::vector<Colour>&) override { return true; }
     void commit(const Uid& action, const std::vector<ColourDisposition>& dispositions) override;
     void abort(const Uid& action) override;
 

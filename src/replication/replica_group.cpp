@@ -14,7 +14,6 @@ class ReplicatedMap::RejoinParticipant final : public TerminationParticipant {
  public:
   RejoinParticipant(ReplicatedMap& group, std::size_t index) : group_(group), index_(index) {}
 
-  bool prepare(const Uid&, const std::vector<Colour>&) override { return true; }
   void commit(const Uid&, const std::vector<ColourDisposition>&) override {
     group_.finish_rejoin(index_, /*committed=*/true);
   }

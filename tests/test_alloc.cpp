@@ -5,6 +5,8 @@
 // Network. A global operator new that counts bytes while a test has counting
 // switched on measures it; the bounds are loose enough to survive small
 // bookkeeping changes and far below what a second copy of the payload costs.
+// The same counter checks that a forged element count in a request is
+// refused before anything is reserved for it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +14,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "dist/node.h"
 #include "dist/rpc.h"
 #include "net/frame.h"
 #include "net/reassembly.h"
@@ -168,6 +171,31 @@ TEST(OneBuffer, RpcCallReachesItsHandlerWithoutCopyingThePayload) {
               static_cast<double>(c.bytes) / static_cast<double>(kPayloadBytes));
   EXPECT_EQ(received, kPayloadBytes);
   EXPECT_LT(c.bytes * 10, kPayloadBytes);
+}
+
+// A 24-byte tx.prepare claiming 0xFFFFFFFF permanent colours: a colour takes
+// at least four bytes on the wire, so the count is refused against the four
+// bytes that follow it, before a vector of 16 GiB is reserved for it.
+TEST(BoundedCounts, ForgedPrepareCountFailsWithoutAllocating) {
+  NetworkConfig config;
+  config.min_delay = std::chrono::microseconds(10);
+  config.max_delay = std::chrono::microseconds(100);
+  Network net(config);
+  DistNode node(net, 1);
+  RpcEndpoint client(net, 2);
+
+  ByteBuffer args;
+  args.pack_uid(Uid());
+  args.pack_u32(2);            // coordinator
+  args.pack_u32(0xFFFFFFFFu);  // permanent colours, none of which follow
+  ASSERT_EQ(args.size(), 24u);
+  Counter c;
+  c.start();
+  const RpcResult r = client.call(1, "tx.prepare", std::move(args));
+  c.stop();
+  std::printf("forged tx.prepare: %zu bytes in %zu allocations\n", c.bytes, c.allocations);
+  EXPECT_EQ(r.status, RpcStatus::AppError);
+  EXPECT_LT(c.bytes, std::size_t{1} << 20);
 }
 
 }  // namespace

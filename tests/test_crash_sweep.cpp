@@ -36,7 +36,6 @@
 #include <thread>
 
 #include "dist/remote.h"
-#include "dist/wire.h"
 #include "objects/recoverable_int.h"
 #include "sim/consistency_check.h"
 #include "sim/crash_points.h"
@@ -1080,17 +1079,10 @@ TEST(CrashSweepRegression, CheckerFlagsMarkerWithoutShadows) {
   Cluster cl("regression");
   const Uid action;  // fresh action uid that never actually ran
 
-  // Key derivations mirror tpc.cpp's marker_uid()/log_uid().
-  const Uid marker(action.hi() ^ 0x4D43415F5052455BULL, action.lo());
-  const Uid log(action.hi() ^ 0x4D43415F434C4F47ULL, action.lo());
-
-  ByteBuffer payload;
-  payload.pack_u32(cl.c.id());  // coordinator
-  payload.pack_u32(1);          // one prepared object...
-  payload.pack_uid(cl.a.uid());
-  wire::pack_colour(payload, Colour::plain());
-  cl.p1_store.write(ObjectState(marker, kPreparedMarkerType, std::move(payload)));
-  cl.c_store.write(ObjectState(log, kCoordinatorLogType, ByteBuffer{}));
+  // One prepared object, and a Sealed record (the default Record).
+  ParticipantTable::write_marker(cl.p1.runtime(),
+                                 {action, cl.c.id(), {{cl.a.uid(), Colour::plain()}}, {}});
+  CoordinatorLogParticipant::write_record(cl.c.runtime(), action, {});
   ASSERT_EQ(cl.p1.in_doubt_count(), 1u);
 
   // Reboot node 2 from that state and let recovery resolve the marker.

@@ -274,9 +274,9 @@ TEST_F(DistTest, InDoubtParticipantResolvesCommitViaCoordinatorLog) {
     if (d.heir.is_nil()) permanent.push_back(d.colour);
   }
   ASSERT_TRUE(server_.participants().prepare(a.uid(), permanent, client_.id()));
-  // Simulate the coordinator reaching its decision (commit record written).
-  CoordinatorLogParticipant log(client_.runtime());
-  log.commit(a.uid(), {});
+  // Simulate the coordinator reaching its decision (a Sealed record, the
+  // default Record).
+  CoordinatorLogParticipant::write_record(client_.runtime(), a.uid(), {});
   server_.crash();
   server_.restart();  // recovery asks client_ for tx.status -> committed
 

@@ -106,10 +106,9 @@ TEST_F(PartitionTest, Phase2PartitionedDaemonCommitsAndReleasesLocks) {
   EXPECT_EQ(server_.in_doubt_count(), 1u);
   EXPECT_GT(server_.runtime().lock_manager().locked_object_count(), 0u);
 
-  // The coordinator decides commit (log record written), but phase two never
-  // arrives: the link is cut.
-  CoordinatorLogParticipant log(client_.runtime());
-  log.commit(a.uid(), {});
+  // The coordinator decides commit (a Sealed record, the default Record),
+  // but phase two never arrives: the link is cut.
+  CoordinatorLogParticipant::write_record(client_.runtime(), a.uid(), {});
   net_.partition(client_.id(), server_.id());
 
   // The daemon keeps trying across the partition and gets nowhere.
@@ -177,8 +176,7 @@ TEST_F(PartitionTest, RestartWhileCoordinatorPartitionedResolvesAfterHeal) {
   a.begin();
   remote.set(99);
   ASSERT_TRUE(server_.participants().prepare(a.uid(), permanent_colours(a), client_.id()));
-  CoordinatorLogParticipant log(client_.runtime());
-  log.commit(a.uid(), {});
+  CoordinatorLogParticipant::write_record(client_.runtime(), a.uid(), {});  // Sealed
 
   net_.partition(client_.id(), server_.id());
   server_.crash();

@@ -1159,5 +1159,124 @@ TEST_F(WalTest, MatchesMemoryStoreOnTheSameWorkload) {
   diff_stores(reference, wal, "after crash");
 }
 
+// -- the commit protocol's durable records (dist/tpc.h) -------------------------
+//
+// Each record goes through its writer into a WalStore and is read back
+// through its reader after the store is reopened (a full replay).
+using ProtocolRecords = WalTest;
+
+TEST(ProtocolRecordKeys, DistinctAndEachItsOwnInverse) {
+  const ProtocolRecord kinds[] = {ProtocolRecord::PreparedMarker, ProtocolRecord::CoordinatorLog,
+                                  ProtocolRecord::WitnessCopy, ProtocolRecord::WitnessTombstone};
+  for (const Uid action : {Uid(), Uid(), Uid(0, 0), Uid(~0ULL, ~0ULL)}) {
+    std::set<Uid> keys{action};
+    for (const ProtocolRecord kind : kinds) {
+      const Uid key = protocol_record_key(kind, action);
+      EXPECT_EQ(protocol_record_key(kind, key), action);
+      keys.insert(key);
+    }
+    EXPECT_EQ(keys.size(), 5u) << "two kinds, or a kind and the action, share a key";
+  }
+}
+
+TEST_F(ProtocolRecords, PreparedMarkerRoundTrips) {
+  const ParticipantTable::Marker marker{
+      Uid(),
+      7,
+      {{Uid(), Colour::plain()}, {Uid(), Colour::named("red")}, {Uid(), Colour::named("blue")}},
+      {4, 5, 9}};
+  {
+    WalStore store(dir_);
+    Runtime rt(store);
+    ParticipantTable::write_marker(rt, marker);
+  }
+  WalStore store(dir_);
+  Runtime rt(store);
+  const auto read = ParticipantTable::read_marker(rt, marker.action);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->action, marker.action);
+  EXPECT_EQ(read->coordinator, marker.coordinator);
+  EXPECT_EQ(read->prepared, marker.prepared);
+  EXPECT_EQ(read->witnesses, marker.witnesses);
+
+  const ParticipantTable table(rt, [](const Uid&) { return nullptr; });
+  const auto in_doubt = table.in_doubt();
+  ASSERT_EQ(in_doubt.size(), 1u);
+  EXPECT_EQ(in_doubt[0].action, marker.action);
+  EXPECT_EQ(in_doubt[0].prepared, marker.prepared);
+}
+
+TEST_F(ProtocolRecords, CoordinatorLogRecordsRoundTrip) {
+  using CLP = CoordinatorLogParticipant;
+  const Uid pending_action, sealed_action, applied_action, delta_action;
+  CLP::Record pending;
+  pending.state = CLP::RecordState::Pending;
+  pending.witnesses = {2, 3};
+  pending.redo_uids = {Uid(), Uid()};
+  CLP::Record sealed = pending;
+  sealed.state = CLP::RecordState::Sealed;
+  sealed.redo_uids.push_back(Uid());
+  CLP::Record applied;
+  applied.state = CLP::RecordState::Applied;
+  applied.witnesses = {2, 3};
+  CLP::Record delta;
+  delta.state = CLP::RecordState::Delta;
+  const auto ops = [](int n) { return std::vector<std::byte>(n, std::byte(n)); };
+  delta.delta_nodes = {{1, {{Uid(), ops(3)}, {Uid(), ops(0)}}}, {4, {{Uid(), ops(17)}}}};
+  {
+    WalStore store(dir_);
+    Runtime rt(store);
+    CLP::write_record(rt, pending_action, pending);
+    CLP::write_record(rt, sealed_action, sealed);
+    CLP::write_record(rt, applied_action, applied);
+    CLP::write_record(rt, delta_action, delta);
+  }
+  WalStore store(dir_);
+  Runtime rt(store);
+  for (const auto& [action, expected] : {std::pair{pending_action, pending},
+                                         std::pair{sealed_action, sealed},
+                                         std::pair{applied_action, applied},
+                                         std::pair{delta_action, delta}}) {
+    const auto read = CLP::read_record(rt, action);
+    ASSERT_TRUE(read.has_value());
+    EXPECT_EQ(read->state, expected.state);
+    EXPECT_EQ(read->witnesses, expected.witnesses);
+    EXPECT_EQ(read->redo_uids, expected.redo_uids);
+    ASSERT_EQ(read->delta_nodes.size(), expected.delta_nodes.size());
+    for (std::size_t i = 0; i < expected.delta_nodes.size(); ++i) {
+      const auto& [node, entries] = read->delta_nodes[i];
+      EXPECT_EQ(node, expected.delta_nodes[i].first);
+      ASSERT_EQ(entries.size(), expected.delta_nodes[i].second.size());
+      for (std::size_t j = 0; j < entries.size(); ++j) {
+        EXPECT_EQ(entries[j].object, expected.delta_nodes[i].second[j].object);
+        EXPECT_EQ(entries[j].ops, expected.delta_nodes[i].second[j].ops);
+      }
+    }
+  }
+  const auto logged = CLP::logged_actions(rt);
+  EXPECT_EQ(std::set<Uid>(logged.begin(), logged.end()),
+            (std::set<Uid>{pending_action, sealed_action, applied_action, delta_action}));
+  EXPECT_EQ(CLP::logged_status(rt, pending_action), TxStatus::Pending);
+  EXPECT_EQ(CLP::logged_status(rt, sealed_action), TxStatus::Committed);
+}
+
+TEST_F(ProtocolRecords, WitnessCopyAndTombstoneRoundTrip) {
+  const Uid copied, fenced;
+  {
+    WalStore store(dir_);
+    Runtime rt(store);
+    EXPECT_TRUE(WitnessLog::record_decision(rt, copied));
+    EXPECT_EQ(WitnessLog::status_or_fence(rt, fenced), TxStatus::Aborted);
+  }
+  WalStore store(dir_);
+  Runtime rt(store);
+  EXPECT_TRUE(WitnessLog::has_decision(rt, copied));
+  EXPECT_FALSE(WitnessLog::has_tombstone(rt, copied));
+  EXPECT_TRUE(WitnessLog::has_tombstone(rt, fenced));
+  EXPECT_FALSE(WitnessLog::has_decision(rt, fenced));
+  EXPECT_FALSE(WitnessLog::record_decision(rt, fenced)) << "the fence must outlive a restart";
+  EXPECT_EQ(WitnessLog::status_or_fence(rt, copied), TxStatus::Committed);
+}
+
 }  // namespace
 }  // namespace mca
