@@ -111,8 +111,7 @@ NodeDaemon::NodeDaemon(DaemonConfig config) : config_(std::move(config)) {
   tc.peers = config_.peers;
   tc.timers = &net_timers_;  // periodic reassembly expiry sweep
   transport_ = std::make_unique<UdpTransport>(std::move(tc));
-  node_ = std::make_unique<DistNode>(*transport_, config_.id, config_.data_dir,
-                                     config_.rpc_workers);
+  node_ = std::make_unique<DistNode>(*transport_, config_.id, config_.data_dir);
   node_->set_invoke_timeout(config_.invoke_timeout);
   node_->set_tpc_call_timeout(config_.tpc_call_timeout);
   if (!config_.witnesses.empty()) node_->set_coordinator_mirrors(config_.witnesses);

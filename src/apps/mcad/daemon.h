@@ -79,7 +79,6 @@ struct DaemonConfig {
   // Blob keys: RecoverableString objects under blob_uid(key), seeded empty.
   // Blob-sized values exercise the transport's fragmentation path.
   std::vector<std::uint32_t> blobs;
-  std::size_t rpc_workers = 8;
   std::chrono::milliseconds invoke_timeout{4'000};
   std::chrono::milliseconds tpc_call_timeout{1'000};
 };

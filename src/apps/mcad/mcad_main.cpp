@@ -4,7 +4,7 @@
 //   mcad --id 1 --data /var/lib/mca/node1 \
 //        --peers "1=127.0.0.1:9001,2=127.0.0.1:9002,3=127.0.0.1:9003" \
 //        [--witnesses "2,3"] [--ints "10=100,11=0"] [--blobs "20,21"] \
-//        [--workers 8] [--invoke-timeout-ms 4000] [--tpc-timeout-ms 1000]
+//        [--invoke-timeout-ms 4000] [--tpc-timeout-ms 1000]
 //
 // The node's durable store is a WalStore in the --data directory; a process
 // started over an existing directory is a restarted node and replays it.
@@ -24,7 +24,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --id N --data DIR --peers \"id=host:port,...\"\n"
                "          [--witnesses \"id,...\"] [--ints \"key=initial,...\"]\n"
-               "          [--blobs \"key,...\"] [--workers N]\n"
+               "          [--blobs \"key,...\"]\n"
                "          [--invoke-timeout-ms N] [--tpc-timeout-ms N]\n",
                argv0);
   return 2;
@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
         for (const NodeId key : parse_node_list(value())) {
           config.blobs.push_back(static_cast<std::uint32_t>(key));
         }
-      } else if (arg == "--workers") {
-        config.rpc_workers = std::stoul(value());
       } else if (arg == "--invoke-timeout-ms") {
         config.invoke_timeout = std::chrono::milliseconds(std::stoul(value()));
       } else if (arg == "--tpc-timeout-ms") {

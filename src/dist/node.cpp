@@ -53,13 +53,12 @@ std::optional<LockOutcome> decode_lock_failure(const std::string& error) {
 
 }  // namespace
 
-DistNode::DistNode(Transport& transport, NodeId id, ObjectStore* store, std::size_t rpc_workers)
+DistNode::DistNode(Transport& transport, NodeId id, ObjectStore* store)
     : id_(id),
       owned_store_(store == nullptr ? std::make_unique<MemoryStore>(StorageClass::Stable)
                                     : nullptr),
       runtime_(std::make_unique<Runtime>(store != nullptr ? *store : *owned_store_)),
-      rpc_(transport, id, rpc_workers, RpcEndpoint::kDefaultReplyCacheCapacity,
-           &runtime_->timers()),
+      rpc_(transport, id, RpcEndpoint::kDefaultReplyCacheCapacity, &runtime_->timers()),
       participants_(*runtime_, [this](const Uid& uid) { return resolve(uid); }) {
   register_standard_types();
   register_services();
@@ -67,13 +66,11 @@ DistNode::DistNode(Transport& transport, NodeId id, ObjectStore* store, std::siz
       recovery_options_.period, [this] { on_recovery_timer(); }, this);
 }
 
-DistNode::DistNode(Transport& transport, NodeId id, const std::filesystem::path& data_dir,
-                   std::size_t rpc_workers)
+DistNode::DistNode(Transport& transport, NodeId id, const std::filesystem::path& data_dir)
     : id_(id),
       owned_store_(std::make_unique<WalStore>(data_dir)),
       runtime_(std::make_unique<Runtime>(*owned_store_)),
-      rpc_(transport, id, rpc_workers, RpcEndpoint::kDefaultReplyCacheCapacity,
-           &runtime_->timers()),
+      rpc_(transport, id, RpcEndpoint::kDefaultReplyCacheCapacity, &runtime_->timers()),
       participants_(*runtime_, [this](const Uid& uid) { return resolve(uid); }) {
   register_standard_types();
   register_services();
@@ -245,18 +242,18 @@ void DistNode::register_services() {
   register_crashable("tx.commit", [this](ByteBuffer& args) {
     if (down_.load()) throw std::runtime_error("node down");
     const Uid action = args.unpack_uid();
-    const auto heirs = wire::unpack_heirs(args);
+    auto heirs = wire::unpack_heirs(args);
     // The action's commutative batch, possibly empty: applied only when the
     // mirror was lost in a crash — a live mirror's own tallies carry the
     // same ops.
     const auto deltas = wire::unpack_deltas(args);
-    participants_.commit(action, heirs, deltas);
+    participants_.commit(action, std::move(heirs), deltas);
     return ByteBuffer{};
   });
 
   // One-phase commutative commit: apply the shipped batch durably, release
   // the mirror's locks, ack. Idempotent under redelivery (chain dedup), so
-  // the coordinator may retry freely and restart reconciliation may re-ship.
+  // the coordinator's reconciliation may re-ship an unacked batch.
   register_crashable("tx.delta", [this](ByteBuffer& args) {
     if (down_.load()) throw std::runtime_error("node down");
     const Uid action = args.unpack_uid();
@@ -646,7 +643,12 @@ bool DistNode::apply_verdict(const ParticipantTable::Marker& marker, bool commit
   try {
     // The verdict is known but nothing durable reflects it yet.
     MCA_CRASHPOINT("node.recovery.post_status_pre_resolve");
-    participants_.resolve_prepared(marker.action, committed);
+    // A pulled commit has no heirs.
+    if (committed) {
+      participants_.commit(marker.action, {});
+    } else {
+      participants_.abort(marker.action);
+    }
   } catch (const CrashPointHit& hit) {
     // Catches the point above and any storage/tpc window inside the
     // resolution itself (e.g. commit_shadow's pre-rename). The daemon

@@ -69,13 +69,11 @@ class DistNode {
 
   // `store`, when given, must outlive the node (e.g. a WalStore for real
   // persistence); otherwise the node owns a stable in-memory store.
-  DistNode(Transport& transport, NodeId id, ObjectStore* store = nullptr,
-           std::size_t rpc_workers = 8);
+  DistNode(Transport& transport, NodeId id, ObjectStore* store = nullptr);
 
   // Owning variant: a node on a WalStore in `data_dir` — what a real node
   // daemon runs on.
-  DistNode(Transport& transport, NodeId id, const std::filesystem::path& data_dir,
-           std::size_t rpc_workers = 8);
+  DistNode(Transport& transport, NodeId id, const std::filesystem::path& data_dir);
   ~DistNode();
 
   DistNode(const DistNode&) = delete;
@@ -103,10 +101,10 @@ class DistNode {
   // long).
   void set_invoke_timeout(std::chrono::milliseconds t) { invoke_timeout_ = t; }
 
-  // Per-attempt timeout for phase-two tx.commit deliveries (RpcParticipant's
-  // bounded retry loop). The default matches the RPC default; crash-sweep
-  // tests shorten it so retrying against a freshly-killed participant does
-  // not dominate wall time.
+  // Timeout of the coordinator's tx.prepare, tx.mirror and its one
+  // phase-two call per participant (tx.commit, tx.delta), so a participant
+  // that dies in phase two holds commit() up for at most this long. The
+  // default matches the RPC default; crash-sweep tests shorten it.
   void set_tpc_call_timeout(std::chrono::milliseconds t) { tpc_call_timeout_ = t; }
   [[nodiscard]] std::chrono::milliseconds tpc_call_timeout() const { return tpc_call_timeout_; }
 
@@ -212,8 +210,10 @@ class DistNode {
   std::optional<bool> witness_verdict(const Uid& action, const std::vector<NodeId>& witnesses,
                                       const CallOptions& call);
   // The one resolve step of an in-doubt marker, whichever route gave the
-  // verdict (tx.status or the witnesses): applies it, counts it and clears
-  // the action's backoff. False when a crash point killed this node.
+  // verdict (tx.status or the witnesses): applies it through the
+  // participant table's commit or abort, the steps tx.commit and tx.abort
+  // run, counts it and clears the action's backoff. False when a crash
+  // point killed this node.
   bool apply_verdict(const ParticipantTable::Marker& marker, bool committed, bool from_witness);
   // Restart/daemon reconciliation of this node's own coordinator log:
   // redo interrupted local promotions of Sealed records, resolve Pending

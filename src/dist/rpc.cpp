@@ -29,10 +29,10 @@ void complete_call(const std::shared_ptr<RpcCallState>& state, RpcResult result)
   if (callback) callback(state->result);
 }
 
-Executor::Options handler_options(std::size_t workers) {
+Executor::Options handler_options() {
   Executor::Options o;
   o.workers = 1;    // normal lane unused
-  o.max_blocking = workers == 0 ? 1 : workers;
+  o.max_blocking = 8;
   o.max_queue = 0;  // try_submit on the unused normal lane always refuses
   o.name_prefix = "mca-rpc";
   return o;
@@ -105,8 +105,8 @@ std::size_t RpcFuture::request_bytes() const {
   return state_->request.payload.size();
 }
 
-RpcEndpoint::RpcEndpoint(Transport& transport, NodeId id, std::size_t workers,
-                         std::size_t reply_cache_capacity, TimerService* timers)
+RpcEndpoint::RpcEndpoint(Transport& transport, NodeId id, std::size_t reply_cache_capacity,
+                         TimerService* timers)
     : transport_(transport),
       id_(id),
       gate_(std::make_shared<ReceiverGate>()),
@@ -115,7 +115,7 @@ RpcEndpoint::RpcEndpoint(Transport& transport, NodeId id, std::size_t workers,
       owned_timers_(timers == nullptr ? std::make_unique<TimerService>("mca-rpc-timer")
                                       : nullptr),
       timers_(timers != nullptr ? timers : owned_timers_.get()),
-      pool_(handler_options(workers)) {
+      pool_(handler_options()) {
   gate_->endpoint = this;
   // The handler owns the gate, not the endpoint: a transport that delivers
   // after (or while) the endpoint is torn down finds the gate closed and

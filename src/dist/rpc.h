@@ -18,7 +18,7 @@
 // up to a cap) while the peer stays silent. Any successful exchange clears
 // suspicion.
 // Server side: requests are executed on the blocking lane of an Executor
-// the endpoint owns, capped at `workers` threads; a reply cache keyed by request id gives
+// the endpoint owns, capped at 8 threads; a reply cache keyed by request id gives
 // at-most-once execution — a retransmitted request whose execution already
 // finished is answered from the cache, one still in progress is ignored
 // (the client keeps retrying).
@@ -174,7 +174,7 @@ class RpcEndpoint {
   // outlive the endpoint. `timers` is the timer service driving
   // retransmission — normally the node runtime's shared one. Endpoints
   // constructed without one (tests, standalone tools) own a private service.
-  RpcEndpoint(Transport& transport, NodeId id, std::size_t workers = 8,
+  RpcEndpoint(Transport& transport, NodeId id,
               std::size_t reply_cache_capacity = kDefaultReplyCacheCapacity,
               TimerService* timers = nullptr);
   ~RpcEndpoint();
@@ -315,7 +315,7 @@ class RpcEndpoint {
 
   // Request handlers may block on locks for arbitrarily long, so they run
   // on the blocking lane of an executor of their own (normal lane unused),
-  // capped at `workers` threads named "mca-rpc-bN".
+  // capped at 8 threads named "mca-rpc-bN".
   Executor pool_;
 };
 

@@ -1,7 +1,5 @@
 #include "dist/tpc.h"
 
-#include <algorithm>
-#include <condition_variable>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -65,38 +63,6 @@ std::optional<CoordinatorLogParticipant::Record> decode_record(const ObjectState
   }
   return record;
 }
-
-// Number of blocking re-deliveries a phase-two wait() makes after the
-// initial async attempt fails. With peer suspicion the early retries burn a
-// call timeout each and later ones fail fast at the probe slots; a node
-// down longer than the budget is resolved by its own recovery daemon
-// against the coordinator log.
-constexpr int kPhaseTwoRetries = 6;
-
-// Cancellable pause shared between a Pending's wait and cancel closures, so
-// a retry ladder sleeping towards its next probe slot can be cut short.
-struct RetryState {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool cancelled = false;
-
-  // Sleeps up to `d`; false when cancelled (now or mid-sleep).
-  bool sleep(std::chrono::milliseconds d) {
-    std::unique_lock lock(mutex);
-    return !cv.wait_for(lock, d, [&] { return cancelled; });
-  }
-
-  void cancel() {
-    const std::scoped_lock lock(mutex);
-    cancelled = true;
-    cv.notify_all();
-  }
-
-  bool is_cancelled() {
-    const std::scoped_lock lock(mutex);
-    return cancelled;
-  }
-};
 
 }  // namespace
 
@@ -227,7 +193,7 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
   return true;
 }
 
-void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInfo>& heirs,
+void ParticipantTable::commit(const Uid& action, std::vector<wire::HeirInfo> heirs,
                               const std::vector<wire::DeltaEntry>& deltas) {
   const Held held = hold(action);
   if (!held.mirror) {
@@ -242,6 +208,12 @@ void ParticipantTable::commit(const Uid& action, const std::vector<wire::HeirInf
   Mirror& mirror = *held.mirror;
   retire(action, mirror);
   MCA_CRASHPOINT("tpc.participant.commit.pre_promote");
+  // A commit pulled with tx.status carries no heir information (only the
+  // coordinator's tx.commit does), so every colour of the mirror becomes
+  // permanent, the same fallback marker-driven recovery makes.
+  if (heirs.empty()) {
+    for (const Colour c : mirror.action->colours()) heirs.emplace_back().colour = c;
+  }
 
   // Pass 1: materialise every heir mirror first, so the mirror-side delta
   // tallies can transfer pending ops to them (a mirror has no parent chain;
@@ -439,38 +411,6 @@ std::size_t ParticipantTable::discard_unreferenced_shadows() {
   return dropped;
 }
 
-void ParticipantTable::resolve_prepared(const Uid& action, bool committed) {
-  const Held held = hold(action);
-  if (!held.mirror) {
-    // Post-crash: only the stable marker is left.
-    resolve_in_doubt(action, committed);
-    return;
-  }
-  Mirror& mirror = *held.mirror;
-  if (!committed) {
-    abort_held(action, mirror);  // undoes, discards shadows, releases the mirror's locks
-    return;
-  }
-  retire(action, mirror);
-  for (const auto& [uid, colour] : mirror.prepared) {
-    LockManaged* object = resolve_(uid);
-    (object != nullptr ? object->store() : rt_.default_store()).commit_shadow(uid);
-  }
-  // Commutative tallies fold durably with the same "treat everything as
-  // permanent" fallback the shadows get (no heir info ever arrived).
-  for (const auto& p : mirror.action->participants_snapshot()) {
-    if (auto* tally = dynamic_cast<StateManager::DeltaTally*>(p.get())) {
-      tally->commit(action, {});
-    }
-  }
-  for (const Colour c : mirror.action->colours()) {
-    (void)mirror.action->extract_records(c);  // permanence: records done
-    rt_.lock_manager().on_commit_release(action, c);
-  }
-  drop_marker(action);
-  mirror.action->finish_mirror();
-}
-
 void ParticipantTable::resolve_in_doubt(const Uid& action, bool committed) {
   const auto marker = read_marker(rt_, action);
   if (!marker) return;
@@ -521,10 +461,9 @@ TerminationParticipant::Pending RpcParticipant::start_delta(const Uid& action) {
   ByteBuffer args;
   args.pack_uid(action);
   wire::pack_deltas(args, delta_entries());
-  // The one-phase apply must reach the participant exactly like phase two.
-  // The server applies the batch idempotently (chain dedup), so redelivery
-  // is safe. Past the budget the coordinator-log Delta record is the redo
-  // source.
+  // The server applies the batch idempotently (chain dedup). An unacked
+  // batch stays in the coordinator-log Delta record, which reconciliation
+  // re-ships once the commit has returned.
   return deliver("tx.delta", std::move(args), [this, action](bool acked) {
     if (acked) {
       delta_acked_.store(true);
@@ -537,29 +476,14 @@ TerminationParticipant::Pending RpcParticipant::start_delta(const Uid& action) {
 
 TerminationParticipant::Pending RpcParticipant::deliver(const char* service, ByteBuffer args,
                                                         std::function<void(bool)> done) {
-  const CallOptions options{local_.tpc_call_timeout(), std::chrono::milliseconds(100)};
-  RpcFuture fut = local_.rpc().call_async(target_, service, args, options);
-  auto retry = std::make_shared<RetryState>();
-  auto wait = [this, fut, service, args = std::move(args), options, retry,
-               done = std::move(done)]() mutable {
-    RpcResult r = fut.get();
-    // Re-deliver through the peer-health layer: sleep to the suspected
-    // peer's probe slot and let the call be the probe (call_blocking's
-    // pattern).
-    for (int attempt = 0; !r.ok() && attempt < kPhaseTwoRetries; ++attempt) {
-      const auto pause = std::max<std::chrono::milliseconds>(
-          local_.rpc().peer_probe_wait(target_), std::chrono::milliseconds(10));
-      if (!retry->sleep(pause)) break;  // cancelled
-      r = local_.rpc().call(target_, service, args, options);
-    }
-    done(r.ok());
-    return true;
-  };
-  return Pending{std::move(wait),
-                 [fut, retry] {
-                   retry->cancel();
-                   fut.cancel();
+  RpcFuture fut = local_.rpc().call_async(
+      target_, service, std::move(args),
+      CallOptions{local_.tpc_call_timeout(), std::chrono::milliseconds(100)});
+  return Pending{[fut, done = std::move(done)] {
+                   done(fut.get().ok());
+                   return true;
                  },
+                 [fut] { fut.cancel(); },
                  [fut](std::function<void(bool)> fn) {
                    fut.on_complete([fn = std::move(fn)](const RpcResult&) { fn(true); });
                  }};
@@ -660,8 +584,8 @@ TerminationParticipant::Pending RpcParticipant::start_commit(
   // Fires once per remote participant: armed with skip=k, the coordinator
   // dies having fanned the outcome out to exactly k participants.
   MCA_CRASHPOINT("tpc.coord.commit.pre_send");
-  // Phase two must reach the participant. A node down past the budget
-  // resolves the action itself, from the coordinator log.
+  // A participant this exchange misses still holds its prepared marker, so
+  // its recovery pass pulls the outcome with tx.status.
   return deliver("tx.commit", std::move(args), [this, action](bool acked) {
     if (!acked) {
       MCA_LOG(Warn, "tpc") << "commit " << action << " to node " << target_
@@ -679,17 +603,17 @@ TerminationParticipant::Pending RpcParticipant::start_abort(const Uid& action) {
   const CallOptions options{std::chrono::milliseconds(300), std::chrono::milliseconds(100)};
   const int attempts = armed_.load() ? 3 : 1;
   RpcFuture fut = local_.rpc().call_async(target_, "tx.abort", args, options);
-  auto retry = std::make_shared<RetryState>();
-  auto wait = [this, fut, args = std::move(args), options, retry, attempts]() mutable {
+  auto cancelled = std::make_shared<std::atomic<bool>>(false);
+  auto wait = [this, fut, args = std::move(args), options, cancelled, attempts]() mutable {
     RpcResult r = fut.get();
-    for (int attempt = 1; !r.ok() && attempt < attempts && !retry->is_cancelled(); ++attempt) {
+    for (int attempt = 1; !r.ok() && attempt < attempts && !cancelled->load(); ++attempt) {
       r = local_.rpc().call(target_, "tx.abort", args, options);
     }
     return true;
   };
   return Pending{std::move(wait),
-                 [fut, retry] {
-                   retry->cancel();
+                 [fut, cancelled] {
+                   cancelled->store(true);
                    fut.cancel();
                  },
                  [fut](std::function<void(bool)> fn) {

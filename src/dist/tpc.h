@@ -17,7 +17,8 @@
 //
 // Crash wipes the table (volatile); recovery resolves stable prepared
 // markers by asking the coordinator (presumed abort when the coordinator
-// has no commit record).
+// has no commit record) and applies the answer through the same commit or
+// abort step.
 //
 // Client side — RpcParticipant: registered with an action the first time it
 // touches a given remote node; forwards the action kernel's termination
@@ -113,14 +114,16 @@ class ParticipantTable {
   bool prepare(const Uid& action, const std::vector<Colour>& permanent,
                NodeId coordinator, const std::vector<NodeId>& witnesses = {});
 
-  // Phase two. Missing mirrors fall back to marker-driven recovery
-  // (promote the prepared shadows and nothing else). `deltas` is the
-  // coordinator's shipped commutative batch for this node: with a live
-  // mirror it is ignored (the mirror's own tallies are authoritative);
-  // with a missing mirror (participant crashed after accumulating deltas
-  // but the action went classical) it is applied dedup'd so the
-  // commutative part of a mixed action is not lost.
-  void commit(const Uid& action, const std::vector<wire::HeirInfo>& heirs,
+  // Phase two, pushed by the coordinator's tx.commit or pulled by the
+  // recovery pass's tx.status. Missing mirrors fall back to marker-driven
+  // recovery (promote the prepared shadows and nothing else). A pulled
+  // commit passes no `heirs`: every mirror colour then becomes permanent.
+  // `deltas` is the coordinator's shipped commutative batch for this node:
+  // with a live mirror it is ignored (the mirror's own tallies are
+  // authoritative); with a missing mirror (participant crashed after
+  // accumulating deltas but the action went classical) it is applied
+  // dedup'd so the commutative part of a mixed action is not lost.
+  void commit(const Uid& action, std::vector<wire::HeirInfo> heirs,
               const std::vector<wire::DeltaEntry>& deltas = {});
 
   // One-phase commutative commit (tx.delta): applies the coordinator's
@@ -154,19 +157,6 @@ class ParticipantTable {
   // Stable prepared markers awaiting resolution.
   [[nodiscard]] std::vector<Marker> in_doubt() const;
 
-  // Marker-driven resolution used at recovery.
-  void resolve_in_doubt(const Uid& action, bool committed);
-
-  // Daemon-driven resolution of a prepared action once its coordinator's
-  // verdict is known. Unlike resolve_in_doubt it also handles a *live*
-  // prepared mirror (the node never crashed; the coordinator's phase-two
-  // message was lost or partitioned away): abort undoes and releases the
-  // mirror's locks; commit promotes the prepared shadows, treats every
-  // mirror colour as permanent (phase two never arrived, so no heir info
-  // exists — the same fallback marker-driven recovery makes) and releases
-  // the locks.
-  void resolve_prepared(const Uid& action, bool committed);
-
   // Recovery sweep: discards shadows not referenced by any surviving
   // prepared marker (a crash between writing shadows and writing the marker
   // orphans them; presumed abort applies). Returns how many were dropped.
@@ -176,7 +166,7 @@ class ParticipantTable {
 
  private:
   struct Mirror {
-    // Serialises this action's prepare, commit, abort and resolution steps
+    // Serialises this action's prepare, commit, commit_delta and abort steps
     // (and crash), so one action's waited marker flush holds up no other
     // action at this node. Guards `prepared` and `retired`.
     std::mutex mutex;
@@ -203,6 +193,9 @@ class ParticipantTable {
   // Removes a held mirror from the table for good.
   void retire(const Uid& action, Mirror& mirror);
   void abort_held(const Uid& action, Mirror& mirror);
+  // Marker-driven resolution: the step commit and abort take for an action
+  // with no live mirror here.
+  void resolve_in_doubt(const Uid& action, bool committed);
 
   void drop_marker(const Uid& action);
 
@@ -251,18 +244,19 @@ class RpcParticipant final : public TerminationParticipant {
 
   // The kernel drives a remote node through these only. The
   // coordinator-local work (heir bookkeeping, crash points) runs inline on
-  // the terminating thread; the RPC exchange rides an RpcFuture. Phase-two
-  // delivery retries through the peer-health machinery (the suspected
-  // peer's probe slot is the retry time) instead of a fixed sleep ladder.
+  // the terminating thread; the RPC exchange rides an RpcFuture.
   Pending start_prepare(const Uid& action, const std::vector<Colour>& permanent) override;
   Pending start_commit(const Uid& action,
                        const std::vector<ColourDisposition>& dispositions) override;
   Pending start_abort(const Uid& action) override;
 
  private:
-  // The phase-two delivery ladder of tx.commit and tx.delta: one async
-  // call, then up to kPhaseTwoRetries re-deliveries, each after a pause to
-  // the peer's probe slot; `done` learns whether the participant acked.
+  // Phase two of tx.commit and tx.delta: one call with the phase-two
+  // timeout, whose retransmissions cover loss while the peer lives; `done`
+  // learns whether the participant acked. A participant the call misses is
+  // finished without it: a prepared one pulls the outcome with tx.status,
+  // and a delta batch waits in the coordinator-log record that
+  // reconciliation re-ships.
   Pending deliver(const char* service, ByteBuffer args, std::function<void(bool)> done);
 
   DistNode& local_;
@@ -342,7 +336,7 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
   // record as the redo source for a crash mid-fan-out. Single-site commits
   // (no armed remote, ≤ 1 local object) skip the record: one chain append
   // is already atomic. finish_delta retires the record once every remote
-  // acked; an unacked exchange leaves it Pending-equivalent for restart
+  // acked; an unacked exchange leaves it for the recovery pass's
   // reconciliation to re-ship. Delta records are not witness-mirrored —
   // the record is pure redo, not a commit/abort verdict, and a permanently
   // dead coordinator is resolved by reconciling its own log at restart.

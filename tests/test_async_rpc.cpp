@@ -152,7 +152,7 @@ TEST(AsyncRpc, CompletedCallGivesUpItsRetransmitSlotAndRequest) {
   // and the request with it instead of leaving both until the slot fires.
   Network net(fast_config());
   TimerService timers;
-  RpcEndpoint a(net, 1, 8, RpcEndpoint::kDefaultReplyCacheCapacity, &timers);
+  RpcEndpoint a(net, 1, RpcEndpoint::kDefaultReplyCacheCapacity, &timers);
   RpcEndpoint b(net, 2);
   b.register_service("echo", [](ByteBuffer& args) {
     std::this_thread::sleep_for(std::chrono::microseconds(args.unpack_u32()));

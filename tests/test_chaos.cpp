@@ -1,9 +1,12 @@
 // Chaos test: distributed transfers while a scripted fault schedule
-// repeatedly crashes and restarts a participant node.
+// repeatedly crashes and restarts a participant node, and while the network
+// loses a fifth of all datagrams.
 //
 // Invariant under any interleaving of crashes: every transfer is atomic —
 // after the dust settles, the stable states on the two nodes sum to the
 // initial total, and equal the client's tally of committed transfers.
+// Under loss: once no node is in doubt, every node's stable state counts
+// exactly the committed transfers.
 //
 // Every node runs on a WalStore in a fresh temp directory: each simulated
 // kill therefore exercises the group-committed log's replay path, not just
@@ -11,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <thread>
 
 #include "dist/remote.h"
 #include "objects/recoverable_int.h"
@@ -144,6 +148,63 @@ TEST(Chaos, TransfersStayAtomicAcrossCrashes) {
   // The run must have exercised both fates.
   EXPECT_GT(committed, 0);
   EXPECT_GT(aborted, 0);
+}
+
+// Paper §2: "either all objects updated within the action have their new
+// states recorded on stable storage, or none do", with message loss. The
+// coordinator sends each participant one phase-two call; a prepared
+// participant that call never reaches finishes through its own recovery
+// pass, so the stable states are read only once no node is in doubt.
+TEST(Chaos, LossyTransfersCommitOnEveryNodeOrNone) {
+  TempDir dir(fs::temp_directory_path() / ("mca_chaos_loss_" + Uid().to_string()));
+  NetworkConfig config;
+  config.loss_probability = 0.2;
+  config.min_delay = std::chrono::microseconds(20);
+  config.max_delay = std::chrono::microseconds(100);
+  Network net(config);
+  WalStore client_store(dir.path / "client");
+  DistNode client(net, 1, &client_store);
+  std::vector<std::unique_ptr<WalStore>> stores;
+  std::vector<std::unique_ptr<DistNode>> servers;
+  std::vector<std::unique_ptr<RecoverableInt>> objects;
+  std::vector<RemoteInt> proxies;
+  for (NodeId id = 2; id <= 4; ++id) {
+    stores.push_back(std::make_unique<WalStore>(dir.path / ("server" + std::to_string(id))));
+    servers.push_back(std::make_unique<DistNode>(net, id, stores.back().get()));
+    objects.push_back(std::make_unique<RecoverableInt>(servers.back()->runtime(), 0));
+    servers.back()->host(*objects.back());
+    proxies.emplace_back(client, id, objects.back()->uid());
+  }
+
+  constexpr int kTransfers = 30;
+  int committed = 0;
+  for (int i = 0; i < kTransfers; ++i) {
+    AtomicAction a(client.runtime());
+    a.begin();
+    try {
+      for (RemoteInt& proxy : proxies) proxy.add(1);
+    } catch (const std::exception&) {
+      a.abort();
+      continue;
+    }
+    if (a.commit() == Outcome::Committed) ++committed;
+  }
+  EXPECT_GT(committed, 0);
+
+  const auto in_doubt = [&] {
+    std::size_t n = client.in_doubt_count();
+    for (const auto& server : servers) n += server->in_doubt_count();
+    return n;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (in_doubt() != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(in_doubt(), 0u) << "prepared participants never learned the outcome";
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    EXPECT_EQ(stable_value(*servers[i], objects[i]->uid()), committed)
+        << "node " << servers[i]->id() << " of " << committed << " committed transfers";
+  }
 }
 
 TEST(Chaos, RepeatedCrashesOfBothServersNeverWedgeTheClient) {

@@ -11,9 +11,6 @@
 //     no surviving coordinator-log record;
 //   * the single-site skip: a purely local delta action writes no Delta
 //     record at all (the chain append is the atomic event);
-//   * the process-global ablation switch: the same workload with the fast
-//     path off commits through classical 2PC (and leaves its decision
-//     record to prove it);
 //   * idempotence: a retransmitted batch dedups against the chain;
 //   * the mixed-action fallback: one classical write anywhere demotes the
 //     whole action to 2PC, atomically, deltas riding the tx.commit;
@@ -28,6 +25,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "call_counter.h"
 #include "dist/remote.h"
 #include "objects/commutative_counter.h"
 #include "objects/recoverable_int.h"
@@ -307,10 +305,12 @@ TEST(CommutativeCommit, MixedActionOnOneNodeStaysAtomic) {
 
 // A two-node cluster (coordinator + one participant) makes every window
 // deterministic: with no local tallies on the coordinator, the armed point
-// can only fire inside the participant's tx.delta handler.
+// can only fire inside the participant's tx.delta handler. The nodes talk
+// through a CallCounter, so a case can count the coordinator's calls.
 struct TwoNodeCluster {
   TempDir dir;
   Network net;
+  CallCounter wire;
   WalStore c_store, p1_store;
   DistNode c, p1;
   CommutativeCounter a;
@@ -318,10 +318,11 @@ struct TwoNodeCluster {
   explicit TwoNodeCluster(const std::string& tag)
       : dir(fs::temp_directory_path() / ("mca_commutative_" + tag + "_" + Uid().to_string())),
         net(fast_config()),
+        wire(net),
         c_store(dir.path / "c"),
         p1_store(dir.path / "p1"),
-        c(net, 1, &c_store),
-        p1(net, 2, &p1_store),
+        c(wire, 1, &c_store),
+        p1(wire, 2, &p1_store),
         a(p1.runtime(), kInitial) {
     for (DistNode* n : {&c, &p1}) {
       n->set_recovery_options(DistNode::RecoveryOptions{/*period=*/50ms,
@@ -346,6 +347,11 @@ class DeltaWindowSweep : public ::testing::TestWithParam<const char*> {};
 TEST_P(DeltaWindowSweep, ParticipantKilledInTheWindowConverges) {
   crash_points::reset();
   TwoNodeCluster cl("window");
+  // The coordinator's reconciliation re-ships an unacked batch in calls of
+  // its own: hold its recovery pass off until the phase-two call is counted.
+  const DistNode::RecoveryOptions recovery = cl.c.recovery_options();
+  cl.c.set_recovery_options(DistNode::RecoveryOptions{/*period=*/1h, recovery.call_timeout,
+                                                      recovery.backoff_max});
   crash_points::arm(GetParam(), 0);
 
   Uid action;
@@ -356,8 +362,8 @@ TEST_P(DeltaWindowSweep, ParticipantKilledInTheWindowConverges) {
     RemoteCounter ra(cl.c, cl.p1.id(), cl.a.uid());
     ra.add(kDelta);
     // The kill happens server-side inside the tx.delta handler; the
-    // coordinator's retry budget drains against a dead node, the Delta
-    // record stays, and the commit still succeeds — the decision was
+    // coordinator's one tx.delta call times out against a dead node, the
+    // Delta record stays, and the commit still succeeds — the decision was
     // durable before the fan-out began.
     ASSERT_EQ(act.commit(), Outcome::Committed);
   }
@@ -365,8 +371,10 @@ TEST_P(DeltaWindowSweep, ParticipantKilledInTheWindowConverges) {
       << "the armed window never executed";
   crash_points::disarm_all();
   ASSERT_FALSE(cl.p1.up()) << "the fired crash point killed no node";
+  EXPECT_EQ(cl.wire.calls("tx.delta", cl.p1.id()), 1u) << "phase two is one exchange";
   ASSERT_TRUE(CoordinatorLogParticipant::read_record(cl.c.runtime(), action).has_value())
       << "the undelivered batch must keep its redo record";
+  cl.c.set_recovery_options(recovery);
 
   // Reboot the participant; the coordinator's reconciliation re-ships the
   // batch (idempotently — post_apply_pre_ack already persisted it) and

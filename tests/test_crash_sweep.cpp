@@ -24,7 +24,9 @@
 // double-kill recovery-window cases, the covered-prepare windows (a node's
 // prepared append torn with the shadow riding it), the lazy phase-two
 // windows (a node reported the commit, then lost the writes its durable
-// record covers), a live coordinator's own recovery pass racing its
+// record covers), phase two as one exchange (a participant killed in it
+// gets one tx.commit call and pulls the outcome once it is back), a live
+// coordinator's own recovery pass racing its
 // witnessed decision, and a regression proving the checker catches the
 // half-applied state a marker-before-shadows mutation leaves.
 #include <gtest/gtest.h>
@@ -35,6 +37,7 @@
 #include <random>
 #include <thread>
 
+#include "call_counter.h"
 #include "dist/remote.h"
 #include "objects/recoverable_int.h"
 #include "sim/consistency_check.h"
@@ -690,6 +693,70 @@ TEST(LazyPhaseTwo, CommittedCoordinatorRedoesLostPromotionFromItsSealedRecord) {
   EXPECT_EQ(applied->state, CoordinatorLogParticipant::RecordState::Applied);
   ConsistencyReport report;
   cl.check(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// ---------------------------------------------------------------------------
+// Phase two is one exchange: a dead participant gets one tx.commit call, and
+// pulls the outcome itself once it is back
+// ---------------------------------------------------------------------------
+
+TEST(PhaseTwoExchange, DeadParticipantGetsOneCallThenPullsTheOutcome) {
+  crash_points::reset();
+  TempDir dir(fs::temp_directory_path() /
+              ("mca_crash_sweep_one_exchange_" + Uid().to_string()));
+  Network net(fast_config());
+  CallCounter wire(net);
+  WalStore c_store(dir.path / "c");
+  WalStore p_store(dir.path / "p");
+  DistNode c(wire, 1, &c_store);
+  DistNode p(wire, 2, &p_store);
+  RecoverableInt z(c.runtime(), kInitial);
+  RecoverableInt a(p.runtime(), kInitial);
+  for (DistNode* n : {&c, &p}) {
+    n->set_recovery_options(DistNode::RecoveryOptions{/*period=*/50ms,
+                                                      /*call_timeout=*/200ms,
+                                                      /*backoff_max=*/200ms});
+    n->set_tpc_call_timeout(300ms);
+    n->set_invoke_timeout(2'000ms);
+  }
+  c.host(z);
+  p.host(a);
+  warm(c_store);
+  warm(p_store);
+
+  // The participant dies in its tx.commit handler, after the decision is
+  // durable. commit() still reports the decision, having waited out one
+  // call.
+  crash_points::arm("tpc.participant.commit.pre_promote", 0);
+  Uid action;
+  {
+    AtomicAction act(c.runtime());
+    act.begin();
+    action = act.uid();
+    z.add(-kDelta);
+    RemoteInt(c, p.id(), a.uid()).add(kDelta);
+    ASSERT_EQ(act.commit(), Outcome::Committed);
+  }
+  ASSERT_EQ(crash_points::last_fired().value_or("<none>"), "tpc.participant.commit.pre_promote");
+  crash_points::disarm_all();
+  ASSERT_FALSE(p.up());
+  EXPECT_EQ(wire.calls("tx.commit", p.id()), 1u);
+  EXPECT_EQ(p.in_doubt_count(), 1u);
+
+  // Only now does the participant come back. It still holds its prepared
+  // marker, asks the coordinator with tx.status and commits; the
+  // coordinator sends nothing more.
+  p.restart();
+  ASSERT_TRUE(wait_until([&] { return p.in_doubt_count() == 0; }, 15'000ms));
+  EXPECT_GE(p.recovery_stats().resolved_committed, 1u);
+  EXPECT_EQ(wire.calls("tx.commit", p.id()), 1u);
+  EXPECT_TRUE(CoordinatorLogParticipant::committed(c.runtime(), action));
+  EXPECT_EQ(Cluster::stored(c.runtime(), z.uid()), kInitial - kDelta);
+  EXPECT_EQ(Cluster::stored(p.runtime(), a.uid()), kInitial + kDelta);
+  ConsistencyReport report;
+  consistency::check_node(c, report);
+  consistency::check_node(p, report);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 

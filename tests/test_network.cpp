@@ -434,7 +434,7 @@ TEST(Rpc, StoppedWorkerPoolDoesNotLeakInProgressEntries) {
 
 TEST(Rpc, ReplyCacheEvictsLruAndKeepsRecentAtMostOnce) {
   Network net(fast_config());
-  RpcEndpoint server(net, 1, /*workers=*/2, /*reply_cache_capacity=*/2);
+  RpcEndpoint server(net, 1, /*reply_cache_capacity=*/2);
   std::atomic<int> executions{0};
   server.register_service("effect", [&](ByteBuffer&) {
     ++executions;
@@ -483,7 +483,7 @@ TEST(Rpc, ReplyCacheUnboundedGrowthIsGone) {
   // served: drive more distinct requests than the capacity and check the
   // cache plateaus at the bound.
   Network net(fast_config());
-  RpcEndpoint server(net, 1, /*workers=*/4, /*reply_cache_capacity=*/8);
+  RpcEndpoint server(net, 1, /*reply_cache_capacity=*/8);
   RpcEndpoint client(net, 2);
   server.register_service("ping", [](ByteBuffer&) { return ByteBuffer{}; });
   for (int i = 0; i < 40; ++i) {
