@@ -234,20 +234,16 @@ void DistNode::register_services() {
     permanent.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) permanent.push_back(wire::unpack_colour(args));
     const std::vector<NodeId> witnesses = wire::unpack_nodes(args);
+    auto heirs = wire::unpack_heirs(args);
     ByteBuffer reply;
-    reply.pack_bool(participants_.prepare(action, permanent, coordinator, witnesses));
+    reply.pack_bool(
+        participants_.prepare(action, permanent, coordinator, witnesses, std::move(heirs)));
     return reply;
   });
 
   register_crashable("tx.commit", [this](ByteBuffer& args) {
     if (down_.load()) throw std::runtime_error("node down");
-    const Uid action = args.unpack_uid();
-    auto heirs = wire::unpack_heirs(args);
-    // The action's commutative batch, possibly empty: applied only when the
-    // mirror was lost in a crash — a live mirror's own tallies carry the
-    // same ops.
-    const auto deltas = wire::unpack_deltas(args);
-    participants_.commit(action, std::move(heirs), deltas);
+    participants_.commit(args.unpack_uid());
     return ByteBuffer{};
   });
 
@@ -643,9 +639,8 @@ bool DistNode::apply_verdict(const ParticipantTable::Marker& marker, bool commit
   try {
     // The verdict is known but nothing durable reflects it yet.
     MCA_CRASHPOINT("node.recovery.post_status_pre_resolve");
-    // A pulled commit has no heirs.
     if (committed) {
-      participants_.commit(marker.action, {});
+      participants_.commit(marker.action);
     } else {
       participants_.abort(marker.action);
     }

@@ -1,5 +1,6 @@
 #include "dist/tpc.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -41,6 +42,7 @@ std::optional<ParticipantTable::Marker> decode_marker(const ObjectState& state) 
     marker.prepared.emplace_back(object, wire::unpack_colour(payload));
   }
   marker.witnesses = wire::unpack_nodes(payload);
+  marker.deltas = wire::unpack_deltas(payload);
   return marker;
 }
 
@@ -62,6 +64,16 @@ std::optional<CoordinatorLogParticipant::Record> decode_record(const ObjectState
     record.redo_uids = wire::unpack_path(payload);  // a uid list, packed as a path is
   }
   return record;
+}
+
+// The op batch `tally` holds for `action`, as a redo entry; nullopt when
+// the action has no tally on that object.
+std::optional<wire::DeltaEntry> pending_entry(const StateManager::DeltaTally& tally,
+                                              const Uid& action) {
+  const auto ops = tally.object().pending_delta_ops(action);
+  if (!ops) return std::nullopt;
+  const auto span = ops->bytes();
+  return wire::DeltaEntry{tally.object().uid(), std::vector<std::byte>(span.begin(), span.end())};
 }
 
 }  // namespace
@@ -131,6 +143,7 @@ void ParticipantTable::write_marker(Runtime& rt, const Marker& marker) {
     wire::pack_colour(payload, colour);
   }
   wire::pack_nodes(payload, marker.witnesses);
+  wire::pack_deltas(payload, marker.deltas);
   rt.default_store().write(
       ObjectState(marker_uid(marker.action), kPreparedMarkerType, std::move(payload)));
 }
@@ -146,7 +159,8 @@ void ParticipantTable::drop_marker(const Uid& action) {
 }
 
 bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& permanent,
-                               NodeId coordinator, const std::vector<NodeId>& witnesses) {
+                               NodeId coordinator, const std::vector<NodeId>& witnesses,
+                               std::vector<wire::HeirInfo> heirs) {
   // Only this action's mirror stays locked across the marker's waited
   // flush: other actions' steps at this node go on meanwhile, and their
   // markers can share the flush.
@@ -158,6 +172,7 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
   }
   Mirror& mirror = *held.mirror;
   mirror.prepared.clear();
+  mirror.heirs = std::move(heirs);
   MCA_CRASHPOINT("tpc.participant.prepare.pre_shadow");
   // The marker, written below into the default store, covers the shadows
   // there (covered prepare, DESIGN.md §5.4): they only queue, and the
@@ -165,6 +180,10 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
   // vote costs one append.
   const ShadowCover cover(&rt_.default_store());
   ShadowBatches batches;
+  const auto is_permanent = [&](Colour c) {
+    return std::find(permanent.begin(), permanent.end(), c) != permanent.end();
+  };
+  std::vector<wire::DeltaEntry> deltas;
   try {
     for (const Colour c : permanent) {
       // Peek at the records of this colour (extract, then re-adopt: abort
@@ -175,6 +194,13 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
         mirror.prepared.emplace_back(r.object->uid(), c);
       }
       mirror.action->adopt_records(std::move(records));
+    }
+    // The permanent colours' commutative tallies have no shadow: the marker
+    // carries their ops.
+    for (const auto& p : mirror.action->participants_snapshot()) {
+      const auto* tally = dynamic_cast<const StateManager::DeltaTally*>(p.get());
+      if (tally == nullptr || !is_permanent(tally->colour())) continue;
+      if (auto entry = pending_entry(*tally, action)) deltas.push_back(std::move(*entry));
     }
     cover.write(batches, rt_.executor());
   } catch (const std::exception& e) {
@@ -188,31 +214,28 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
   // back as a presumed abort with any orphaned shadows swept by
   // discard_unreferenced_shadows().
   MCA_CRASHPOINT("tpc.participant.post_shadow_pre_marker");
-  write_marker(rt_, Marker{action, coordinator, mirror.prepared, witnesses});
+  write_marker(rt_, Marker{action, coordinator, mirror.prepared, witnesses, std::move(deltas)});
   MCA_CRASHPOINT("tpc.participant.prepare.post_marker");
   return true;
 }
 
-void ParticipantTable::commit(const Uid& action, std::vector<wire::HeirInfo> heirs,
-                              const std::vector<wire::DeltaEntry>& deltas) {
+void ParticipantTable::commit(const Uid& action) {
   const Held held = hold(action);
   if (!held.mirror) {
-    // Crash after prepare: fall back to marker-driven promotion, then apply
-    // the coordinator's shipped commutative batch — the crashed mirror's
-    // tallies are gone, and the chain dedup keeps a re-shipped batch from
-    // double-applying.
-    resolve_in_doubt(action, /*committed=*/true);
-    apply_deltas(action, deltas);
+    resolve_in_doubt(action, /*committed=*/true);  // crash after prepare
     return;
   }
   Mirror& mirror = *held.mirror;
   retire(action, mirror);
   MCA_CRASHPOINT("tpc.participant.commit.pre_promote");
-  // A commit pulled with tx.status carries no heir information (only the
-  // coordinator's tx.commit does), so every colour of the mirror becomes
-  // permanent, the same fallback marker-driven recovery makes.
-  if (heirs.empty()) {
-    for (const Colour c : mirror.action->colours()) heirs.emplace_back().colour = c;
+  // The inherited colours go to the heirs prepare kept; every other colour
+  // of the mirror is permanent.
+  std::vector<wire::HeirInfo> heirs = std::move(mirror.heirs);
+  for (const Colour c : mirror.action->colours()) {
+    if (std::none_of(heirs.begin(), heirs.end(),
+                     [&](const wire::HeirInfo& h) { return h.colour == c; })) {
+      heirs.emplace_back().colour = c;
+    }
   }
 
   // Pass 1: materialise every heir mirror first, so the mirror-side delta
@@ -238,8 +261,7 @@ void ParticipantTable::commit(const Uid& action, std::vector<wire::HeirInfo> hei
   mirror.action->set_mirror_heir_resolver(heir_for);
   // Fold (or transfer) the commutative tallies before any lock moves:
   // commit_delta appends the durable chain record, transfer re-notes the
-  // pending ops on the heir mirror. The shipped `deltas` are ignored here —
-  // the live tallies carry the same ops.
+  // pending ops on the heir mirror.
   for (const auto& p : mirror.action->participants_snapshot()) {
     if (auto* tally = dynamic_cast<StateManager::DeltaTally*>(p.get())) {
       tally->commit(action, dispositions);
@@ -328,10 +350,7 @@ void ParticipantTable::abort(const Uid& action) {
     resolve_in_doubt(action, /*committed=*/false);
     return;
   }
-  abort_held(action, *held.mirror);
-}
-
-void ParticipantTable::abort_held(const Uid& action, Mirror& mirror) {
+  Mirror& mirror = *held.mirror;
   retire(action, mirror);
   MCA_CRASHPOINT("tpc.participant.abort.pre_discard");
   for (const auto& [uid, colour] : mirror.prepared) {
@@ -422,6 +441,7 @@ void ParticipantTable::resolve_in_doubt(const Uid& action, bool committed) {
       rt_.default_store().discard_shadow(object);
     }
   }
+  if (committed) apply_deltas(action, marker->deltas);
   // Applying the outcome and dropping the marker are not atomic together; a
   // kill between them must leave recovery able to re-resolve idempotently.
   MCA_CRASHPOINT("tpc.participant.resolve.post_apply_pre_marker_drop");
@@ -510,12 +530,23 @@ TerminationParticipant::Pending RpcParticipant::start_prepare(
           owner_.participant("coordlog"))) {
     witnesses = log->witnesses();
   }
+  // The inherited colours' heirs travel with the vote request, so the
+  // participant commits them the same way whether it is told the outcome
+  // or asks for it.
+  std::vector<wire::HeirInfo> heirs;
+  for (const Colour c : owner_.colours()) {
+    const AtomicAction* heir = owner_.nearest_ancestor_with(c);
+    if (heir == nullptr) continue;  // permanent
+    heirs.push_back({c, heir->uid(), owner_.runtime().ancestry().path_of(heir->uid()),
+                     heir->colours()});
+  }
   ByteBuffer args;
   args.pack_uid(action);
   args.pack_u32(local_.id());
   args.pack_u32(static_cast<std::uint32_t>(permanent.size()));
   for (const Colour c : permanent) wire::pack_colour(args, c);
   wire::pack_nodes(args, witnesses);
+  wire::pack_heirs(args, heirs);
   RpcFuture fut = local_.rpc().call_async(
       target_, "tx.prepare", std::move(args),
       CallOptions{local_.tpc_call_timeout(), std::chrono::milliseconds(100)});
@@ -535,51 +566,37 @@ TerminationParticipant::Pending RpcParticipant::start_prepare(
 TerminationParticipant::Pending RpcParticipant::start_commit(
     const Uid& action, const std::vector<ColourDisposition>& dispositions) {
   if (!armed_.load()) return Pending{};
-  std::vector<wire::HeirInfo> heirs;
   for (const ColourDisposition& d : dispositions) {
-    wire::HeirInfo h;
-    h.colour = d.colour;
-    h.heir = d.heir;
-    if (!d.heir.is_nil()) {
-      AtomicAction* heir_action = owner_.nearest_ancestor_with(d.colour);
-      if (heir_action != nullptr) {
-        h.heir_path = owner_.runtime().ancestry().path_of(heir_action->uid());
-        h.heir_colours = heir_action->colours();
-        // The heir inherits responsibility for this node: give it a
-        // participant (and a coordinator log) of its own.
-        if (!heir_action->has_participant("coordlog")) {
-          heir_action->add_participant(std::make_shared<CoordinatorLogParticipant>(local_),
-                                       "coordlog");
-        }
-        if (auto log = std::dynamic_pointer_cast<CoordinatorLogParticipant>(
-                heir_action->participant("coordlog"))) {
-          log->set_owner(*heir_action);
-        }
-        auto heir_participant = std::dynamic_pointer_cast<RpcParticipant>(
-            heir_action->participant(key_for(target_)));
-        if (heir_participant == nullptr) {
-          heir_participant =
-              std::make_shared<RpcParticipant>(local_, target_, *heir_action);
-          heir_action->add_participant(heir_participant, key_for(target_));
-        }
-        // The heir now owns server-side state (the inherited mirror) —
-        // including any undo records the mirror passes along, which the
-        // client cannot see. The heir must therefore never take the
-        // delta-only fast path on this node's behalf.
-        heir_participant->note_success();
-        heir_participant->note_classical();
-      }
+    if (d.heir.is_nil()) continue;
+    AtomicAction* heir_action = owner_.nearest_ancestor_with(d.colour);
+    if (heir_action == nullptr) continue;
+    // The heir inherits responsibility for this node: give it a
+    // participant (and a coordinator log) of its own.
+    if (!heir_action->has_participant("coordlog")) {
+      heir_action->add_participant(std::make_shared<CoordinatorLogParticipant>(local_),
+                                   "coordlog");
     }
-    heirs.push_back(std::move(h));
+    if (auto log = std::dynamic_pointer_cast<CoordinatorLogParticipant>(
+            heir_action->participant("coordlog"))) {
+      log->set_owner(*heir_action);
+    }
+    auto heir_participant = std::dynamic_pointer_cast<RpcParticipant>(
+        heir_action->participant(key_for(target_)));
+    if (heir_participant == nullptr) {
+      heir_participant = std::make_shared<RpcParticipant>(local_, target_, *heir_action);
+      heir_action->add_participant(heir_participant, key_for(target_));
+    }
+    // The heir now owns server-side state (the inherited mirror) —
+    // including any undo records the mirror passes along, which the
+    // client cannot see. The heir must therefore never take the
+    // delta-only fast path on this node's behalf.
+    heir_participant->note_success();
+    heir_participant->note_classical();
   }
 
+  // The participant got everything else at prepare.
   ByteBuffer args;
   args.pack_uid(action);
-  wire::pack_heirs(args, heirs);
-  // The commutative part of the write set, possibly empty, rides phase two
-  // so a participant that crashed after accumulating tallies still gets a
-  // mixed action's deltas re-applied.
-  wire::pack_deltas(args, delta_entries());
 
   // Fires once per remote participant: armed with skip=k, the coordinator
   // dies having fanned the outcome out to exactly k participants.
@@ -710,11 +727,7 @@ bool CoordinatorLogParticipant::decide_delta(const Uid& action) {
       ++remote_armed;
       record.delta_nodes.emplace_back(rpc->target(), rpc->delta_entries());
     } else if (const auto* tally = dynamic_cast<const StateManager::DeltaTally*>(p.get())) {
-      if (auto ops = tally->object().pending_delta_ops(action)) {
-        const auto span = ops->bytes();
-        local.push_back({tally->object().uid(),
-                         std::vector<std::byte>(span.begin(), span.end())});
-      }
+      if (auto entry = pending_entry(*tally, action)) local.push_back(std::move(*entry));
     }
   }
   if (remote_armed == 0 && local.size() <= 1) {

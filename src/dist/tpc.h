@@ -6,10 +6,12 @@
 // and undo records accrue to the mirror), and executes the coordinator's
 // prepare / commit / abort requests:
 //
-//   prepare(action, permanent)  write shadows for the permanent colours'
-//                               records + a stable "prepared" marker naming
-//                               the coordinator, then vote yes
-//   commit(action, heirs)       promote shadows (permanence), pass records
+//   prepare(action, permanent,  write shadows for the permanent colours'
+//           heirs)              records + a stable "prepared" marker naming
+//                               the coordinator and carrying those colours'
+//                               commutative batch, keep the inherited
+//                               colours' heirs, then vote yes
+//   commit(action)              promote shadows (permanence), pass records
 //                               and locks of inherited colours to the heir's
 //                               mirror, drop the marker
 //   abort(action)               discard shadows/marker, restore states,
@@ -18,7 +20,8 @@
 // Crash wipes the table (volatile); recovery resolves stable prepared
 // markers by asking the coordinator (presumed abort when the coordinator
 // has no commit record) and applies the answer through the same commit or
-// abort step.
+// abort step. Everything commit needs arrived at prepare, so a pushed and a
+// pulled commit are the same step.
 //
 // Client side — RpcParticipant: registered with an action the first time it
 // touches a given remote node; forwards the action kernel's termination
@@ -95,14 +98,18 @@ class ParticipantTable {
 
   // A stable prepared marker, the participant's durable vote: the
   // coordinator to ask, the (object, colour) pairs whose shadows prepare
-  // wrote, and the witnesses that can answer for a dead coordinator. The
-  // payload is u32 coordinator, u32 count + (uid, colour name) per pair,
-  // u32 count + u32 per witness; the action is the key.
+  // wrote, the witnesses that can answer for a dead coordinator, and the
+  // permanent colours' commutative batch (a mixed action's deltas have no
+  // shadow, so a participant that loses its mirror redoes them from here).
+  // The payload is u32 coordinator, u32 count + (uid, colour name) per pair,
+  // u32 count + u32 per witness, then the batch (wire::pack_deltas); the
+  // action is the key.
   struct Marker {
     Uid action;
     NodeId coordinator = 0;
     std::vector<std::pair<Uid, Colour>> prepared;
     std::vector<NodeId> witnesses;
+    std::vector<wire::DeltaEntry> deltas;
   };
   static void write_marker(Runtime& rt, const Marker& marker);
   [[nodiscard]] static std::optional<Marker> read_marker(Runtime& rt, const Uid& action);
@@ -111,20 +118,19 @@ class ParticipantTable {
   // a crash) or a shadow write fails. `witnesses` are the coordinator-log
   // mirror nodes, recorded in the prepared marker so in-doubt recovery can
   // resolve the outcome from a surviving mirror when the coordinator dies.
+  // `heirs` are the inherited colours' dispositions (every other colour is
+  // permanent); the mirror keeps them for commit.
   bool prepare(const Uid& action, const std::vector<Colour>& permanent,
-               NodeId coordinator, const std::vector<NodeId>& witnesses = {});
+               NodeId coordinator, const std::vector<NodeId>& witnesses = {},
+               std::vector<wire::HeirInfo> heirs = {});
 
   // Phase two, pushed by the coordinator's tx.commit or pulled by the
-  // recovery pass's tx.status. Missing mirrors fall back to marker-driven
-  // recovery (promote the prepared shadows and nothing else). A pulled
-  // commit passes no `heirs`: every mirror colour then becomes permanent.
-  // `deltas` is the coordinator's shipped commutative batch for this node:
-  // with a live mirror it is ignored (the mirror's own tallies are
-  // authoritative); with a missing mirror (participant crashed after
-  // accumulating deltas but the action went classical) it is applied
-  // dedup'd so the commutative part of a mixed action is not lost.
-  void commit(const Uid& action, std::vector<wire::HeirInfo> heirs,
-              const std::vector<wire::DeltaEntry>& deltas = {});
+  // recovery pass's tx.status: one step either way, with the heirs prepare
+  // kept. A missing mirror (crash) falls back to the marker: promote the
+  // prepared shadows and redo the permanent colours' commutative batch
+  // (the chain dedup makes a batch that already landed a no-op); the
+  // inherited colours' writes were volatile and died with the mirror.
+  void commit(const Uid& action);
 
   // One-phase commutative commit (tx.delta): applies the coordinator's
   // merged delta batch durably, releases the mirror's locks, and retires
@@ -135,10 +141,10 @@ class ParticipantTable {
   // batch idempotent in either case.
   void commit_delta(const Uid& action, const std::vector<wire::DeltaEntry>& deltas);
 
-  // Applies a shipped commutative batch through the object resolver, for an
-  // action with no live mirror here (crash, retransmit, or restart's re-ship
-  // of a Delta record); the per-(action, seq) chain dedup makes a repeat a
-  // no-op.
+  // Applies a commutative batch through the object resolver, for an action
+  // with no live mirror here (a crash, a retransmit, a re-shipped Delta
+  // record or a prepared marker's batch); the per-(action, seq) chain dedup
+  // makes a repeat a no-op.
   void apply_deltas(const Uid& action, const std::vector<wire::DeltaEntry>& deltas);
 
   void abort(const Uid& action);
@@ -173,6 +179,8 @@ class ParticipantTable {
     std::shared_ptr<AtomicAction> action;
     // (object uid, colour) pairs whose shadows were written at prepare.
     std::vector<std::pair<Uid, Colour>> prepared;
+    // The inherited colours' heirs, as prepare received them.
+    std::vector<wire::HeirInfo> heirs;
     // Set, under `mutex`, by the step that removes the mirror from the
     // table; a step that was waiting for the lock then treats the action as
     // having no mirror here.
@@ -192,7 +200,6 @@ class ParticipantTable {
   Held hold(const Uid& action);
   // Removes a held mirror from the table for good.
   void retire(const Uid& action, Mirror& mirror);
-  void abort_held(const Uid& action, Mirror& mirror);
   // Marker-driven resolution: the step commit and abort take for an action
   // with no live mirror here.
   void resolve_in_doubt(const Uid& action, bool committed);

@@ -13,7 +13,9 @@
 //     record at all (the chain append is the atomic event);
 //   * idempotence: a retransmitted batch dedups against the chain;
 //   * the mixed-action fallback: one classical write anywhere demotes the
-//     whole action to 2PC, atomically, deltas riding the tx.commit;
+//     whole action to 2PC, atomically, each participant's tally folding at
+//     its commit and its batch riding its prepared marker, which a
+//     participant killed in phase two redoes it from;
 //   * the three delta crash windows (`tpc.delta.pre_apply`,
 //     `tpc.delta.post_apply_pre_ack`, `store.delta.mid_append`), sweep
 //     style: kill, restart, reconcile, converge;
@@ -223,9 +225,9 @@ TEST(CommutativeCommit, RetransmittedBatchDedupsAgainstTheChain) {
 // ---------------------------------------------------------------------------
 
 TEST(CommutativeCommit, MixedActionFallsBackToClassicalAtomically) {
-  // One classical write anywhere demotes the whole action: the counter
-  // deltas ride the tx.commit batch instead of a tx.delta, and both updates
-  // land (or neither — the aborted sibling proves the other half).
+  // One classical write anywhere demotes the whole action: the counter's
+  // tally folds at the participant's commit instead of a tx.delta, and both
+  // updates land (or neither — the aborted sibling proves the other half).
   DeltaCluster cl("mixed");
   RecoverableInt ledger(cl.p2.runtime(), 0);
   cl.p2.host(ledger);
@@ -275,7 +277,7 @@ TEST(CommutativeCommit, MixedActionFallsBackToClassicalAtomically) {
 TEST(CommutativeCommit, MixedActionOnOneNodeStaysAtomic) {
   // Both objects on the same participant: the invoke reply framing marks
   // the action classical (kind 2) the moment the int's undo record exists,
-  // and the counter's delta applies exactly once via the tx.commit batch.
+  // and the counter's tally folds exactly once at the participant's commit.
   DeltaCluster cl("mixedone");
   RecoverableInt ledger(cl.p1.runtime(), 0);
   cl.p1.host(ledger);
@@ -405,6 +407,51 @@ INSTANTIATE_TEST_SUITE_P(DeltaWindows, DeltaWindowSweep,
                          ::testing::Values("tpc.delta.pre_apply",
                                            "tpc.delta.post_apply_pre_ack",
                                            "store.delta.mid_append"),
+                         window_name);
+
+// A mixed action's commutative part has no shadow, so the tally-only
+// participant's prepared marker carries its batch. Killed in its tx.commit
+// handler before the tally folds (pre_promote) or after (pre_marker_drop),
+// and back only once commit() has returned, the participant pulls the
+// outcome and redoes the batch from the marker, exactly once.
+class MixedPhaseTwoSweep : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(MixedPhaseTwoSweep, TallyOnlyParticipantRedoesItsBatchFromTheMarker) {
+  crash_points::reset();
+  TwoNodeCluster cl("mixedkill");
+  RecoverableInt z(cl.c.runtime(), kInitial);
+  crash_points::arm(GetParam(), 0);
+  {
+    AtomicAction act(cl.c.runtime());
+    act.begin();
+    z.add(-kDelta);  // classical: the action takes the two-phase path
+    RemoteCounter(cl.c, cl.p1.id(), cl.a.uid()).add(kDelta);
+    ASSERT_EQ(act.commit(), Outcome::Committed);
+  }
+  ASSERT_EQ(crash_points::last_fired().value_or("<none>"), GetParam())
+      << "the armed window never executed";
+  crash_points::disarm_all();
+  ASSERT_FALSE(cl.p1.up()) << "the fired crash point killed no node";
+  EXPECT_EQ(cl.wire.calls("tx.commit", cl.p1.id()), 1u);
+  EXPECT_EQ(cl.p1.in_doubt_count(), 1u);
+
+  cl.p1.restart();
+  cl.signal_heal_all();
+  ASSERT_TRUE(wait_until([&] { return cl.p1.in_doubt_count() == 0; }, 15'000ms));
+  EXPECT_EQ(cl.wire.calls("tx.commit", cl.p1.id()), 1u);
+  EXPECT_EQ(DeltaCluster::committed(cl.p1.runtime(), cl.a), kInitial + kDelta);
+  EXPECT_EQ(cl.a.delta_chain_length(), 1u);
+  EXPECT_EQ(cl.p1.participants().mirror_count(), 0u);
+  EXPECT_EQ(cl.p1.runtime().lock_manager().locked_object_count(), 0u);
+  AtomicAction check(cl.c.runtime());
+  check.begin();
+  EXPECT_EQ(z.value(), kInitial - kDelta);
+  check.commit();
+}
+
+INSTANTIATE_TEST_SUITE_P(CommitWindows, MixedPhaseTwoSweep,
+                         ::testing::Values("tpc.participant.commit.pre_promote",
+                                           "tpc.participant.commit.pre_marker_drop"),
                          window_name);
 
 TEST(CommutativeCommit, CoordinatorKilledMidFanOutReShipsFromItsRecord) {

@@ -25,7 +25,8 @@
 // prepared append torn with the shadow riding it), the lazy phase-two
 // windows (a node reported the commit, then lost the writes its durable
 // record covers), phase two as one exchange (a participant killed in it
-// gets one tx.commit call and pulls the outcome once it is back), a live
+// gets one tx.commit call and pulls the outcome once it is back; a nested
+// commit partitioned in it still passes its colour to the encloser), a live
 // coordinator's own recovery pass racing its
 // witnessed decision, and a regression proving the checker catches the
 // half-applied state a marker-before-shadows mutation leaves.
@@ -759,6 +760,90 @@ TEST(PhaseTwoExchange, DeadParticipantGetsOneCallThenPullsTheOutcome) {
   consistency::check_node(p, report);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
+
+// A nested action's commit passes its colour to the encloser (§5.2). The
+// participant learns that heir with the vote request, so when a partition
+// swallows the nested action's one tx.commit call, the commit it pulls once
+// the link heals passes the nested write to the encloser's mirror, and the
+// encloser's own outcome decides it. The parameter is that outcome.
+class PartitionedHeir : public ::testing::TestWithParam<Outcome> {};
+
+TEST_P(PartitionedHeir, PulledNestedCommitPassesTheWriteToTheEncloser) {
+  crash_points::reset();
+  TempDir dir(fs::temp_directory_path() /
+              ("mca_crash_sweep_partitioned_heir_" + Uid().to_string()));
+  Network net(fast_config());
+  CallCounter wire(net);
+  WalStore c_store(dir.path / "c");
+  WalStore p_store(dir.path / "p");
+  DistNode c(wire, 1, &c_store);
+  DistNode p(wire, 2, &p_store);
+  RecoverableInt a(p.runtime(), kInitial);
+  for (DistNode* n : {&c, &p}) {
+    n->set_recovery_options(DistNode::RecoveryOptions{/*period=*/50ms,
+                                                      /*call_timeout=*/200ms,
+                                                      /*backoff_max=*/200ms});
+    n->set_tpc_call_timeout(300ms);
+    n->set_invoke_timeout(2'000ms);
+  }
+  p.host(a);
+  warm(c_store);
+  warm(p_store);
+
+  // The coordinator cuts its link to the participant on its way into the
+  // nested action's phase two (a crash point that acts instead of killing).
+  crash_points::arm("tpc.coord.post_log_pre_phase2", 0,
+                    [&] { net.partition(c.id(), p.id()); });
+  AtomicAction encloser(c.runtime());
+  encloser.begin();
+  {
+    AtomicAction nested(c.runtime());
+    nested.begin();
+    RemoteInt(c, p.id(), a.uid()).add(kDelta);
+    ASSERT_EQ(nested.commit(), Outcome::Committed);
+  }
+  ASSERT_TRUE(net.partitioned(c.id(), p.id())) << "the armed window never executed";
+  crash_points::disarm_all();
+  EXPECT_EQ(wire.calls("tx.commit", p.id()), 1u);
+  EXPECT_EQ(p.in_doubt_count(), 1u);
+
+  net.heal(c.id(), p.id());
+  c.rpc().reset_peer_health(p.id());
+  p.rpc().reset_peer_health(c.id());
+  p.kick_recovery();
+  ASSERT_TRUE(wait_until([&] { return p.in_doubt_count() == 0; }, 15'000ms));
+  EXPECT_EQ(wire.calls("tx.commit", p.id()), 1u);
+  EXPECT_TRUE(p.participants().has_mirror(encloser.uid())) << "the colour was not passed on";
+  EXPECT_EQ(Cluster::stored(p.runtime(), a.uid()), kInitial) << "an inherited write is not stable";
+
+  const Outcome outcome = GetParam();
+  if (outcome == Outcome::Committed) {
+    ASSERT_EQ(encloser.commit(), Outcome::Committed);
+  } else {
+    encloser.abort();
+  }
+  const std::int64_t expected = outcome == Outcome::Committed ? kInitial + kDelta : kInitial;
+  {
+    AtomicAction check(p.runtime());
+    check.begin();
+    EXPECT_EQ(a.value(), expected);
+    check.commit();
+  }
+  EXPECT_EQ(Cluster::stored(p.runtime(), a.uid()), expected);
+  EXPECT_EQ(p.participants().mirror_count(), 0u);
+  EXPECT_EQ(p.runtime().lock_manager().locked_object_count(), 0u);
+  ConsistencyReport report;
+  consistency::check_node(c, report);
+  consistency::check_node(p, report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(EncloserOutcomes, PartitionedHeir,
+                         ::testing::Values(Outcome::Committed, Outcome::Aborted),
+                         [](const ::testing::TestParamInfo<Outcome>& info) {
+                           return std::string(info.param == Outcome::Committed ? "EncloserCommits"
+                                                                               : "EncloserAborts");
+                         });
 
 // ---------------------------------------------------------------------------
 // Recovery-window double kills: the node dies again *while recovering*.

@@ -1184,7 +1184,8 @@ TEST_F(ProtocolRecords, PreparedMarkerRoundTrips) {
       Uid(),
       7,
       {{Uid(), Colour::plain()}, {Uid(), Colour::named("red")}, {Uid(), Colour::named("blue")}},
-      {4, 5, 9}};
+      {4, 5, 9},
+      {{Uid(), std::vector<std::byte>(9, std::byte{1})}, {Uid(), {}}}};
   {
     WalStore store(dir_);
     Runtime rt(store);
@@ -1198,6 +1199,11 @@ TEST_F(ProtocolRecords, PreparedMarkerRoundTrips) {
   EXPECT_EQ(read->coordinator, marker.coordinator);
   EXPECT_EQ(read->prepared, marker.prepared);
   EXPECT_EQ(read->witnesses, marker.witnesses);
+  ASSERT_EQ(read->deltas.size(), marker.deltas.size());
+  for (std::size_t i = 0; i < marker.deltas.size(); ++i) {
+    EXPECT_EQ(read->deltas[i].object, marker.deltas[i].object);
+    EXPECT_EQ(read->deltas[i].ops, marker.deltas[i].ops);
+  }
 
   const ParticipantTable table(rt, [](const Uid&) { return nullptr; });
   const auto in_doubt = table.in_doubt();
