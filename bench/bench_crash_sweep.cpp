@@ -54,7 +54,7 @@ BENCHMARK(BM_UnarmedCrashPoint);
 // only marker resolution is measured) in the participant's store.
 void plant_markers(Runtime& rt, NodeId coordinator, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    ParticipantTable::write_marker(rt, {Uid(), coordinator, {}, {}});
+    ParticipantTable::write_marker(rt, {Uid(), coordinator, {}, {}, {}});
   }
 }
 

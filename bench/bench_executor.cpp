@@ -1,17 +1,17 @@
 // A10 (§5.5): the runtime spine — pooled dispatch on the shared executor.
 //
-// Every parallel step of the runtime (the extra shadow batches of a
-// prepare, asynchronous independent actions, RPC handlers, recovery passes)
-// rides the runtime's executor instead of a fresh std::thread. This bench
-// records what pooled dispatch costs and proves the property that matters:
-// once warm, the hot paths (pooled commit dispatch, async independent-action
-// spawn) create ZERO new OS threads — verified against the executor's own
-// threads_spawned counter under a 64-way concurrent commit + async load.
+// Every parallel step of the runtime (asynchronous independent actions,
+// RPC handlers, recovery passes, make fan-out) rides an executor instead of
+// a fresh std::thread. This bench records what pooled dispatch costs and
+// proves the property that matters: once warm, the hot paths (pooled commit
+// dispatch, async independent-action spawn) create ZERO new OS threads —
+// verified against the executor's own threads_spawned counter under a
+// 64-way concurrent commit + async load.
 //
 // Three measurements, emitted as BENCH_executor.json:
 //   1. commit dispatch latency at 1/4/16 concurrent committers, each commit
-//      a two-store transaction (multi-batch prepare, so the real fan-out
-//      path runs) submitted to the runtime executor's warm blocking lane;
+//      a two-object transaction in the runtime's store, submitted to the
+//      runtime executor's warm pool;
 //   2. asynchronous independent-action throughput through
 //      IndependentAction::spawn;
 //   3. the steady-state check: warm-up rounds until the executor stops
@@ -35,20 +35,17 @@
 #include "core/runtime.h"
 #include "core/structures/independent_action.h"
 #include "objects/recoverable_int.h"
-#include "storage/memory_store.h"
 
 namespace mca {
 namespace {
 
-// One committer's private pair of objects, one in each store, so every
-// commit prepares two shadow batches (the executor fan-out path) and no two
-// committers contend on locks.
-struct TwoStoreBench {
-  explicit TwoStoreBench(int committers)
-      : store_a(StorageClass::Stable), store_b(StorageClass::Stable), rt(store_a) {
+// One committer's private pair of objects, so every commit prepares a
+// two-shadow batch and no two committers contend on locks.
+struct TwoObjectBench {
+  explicit TwoObjectBench(int committers) {
     for (int i = 0; i < committers; ++i) {
-      a.push_back(std::make_unique<RecoverableInt>(rt, store_a));
-      b.push_back(std::make_unique<RecoverableInt>(rt, store_b));
+      a.push_back(std::make_unique<RecoverableInt>(rt, 0));
+      b.push_back(std::make_unique<RecoverableInt>(rt, 0));
     }
   }
 
@@ -63,8 +60,6 @@ struct TwoStoreBench {
     }
   }
 
-  MemoryStore store_a;
-  MemoryStore store_b;
   Runtime rt;
   std::vector<std::unique_ptr<RecoverableInt>> a;
   std::vector<std::unique_ptr<RecoverableInt>> b;
@@ -72,8 +67,8 @@ struct TwoStoreBench {
 
 // Median per-commit dispatch+completion latency in microseconds across
 // `committers` concurrent committer threads, each performing `iters`
-// commits submitted to the runtime executor's blocking lane and awaited.
-double median_dispatch_us(TwoStoreBench& bench, int committers, int iters) {
+// commits submitted to the runtime executor and awaited.
+double median_dispatch_us(TwoObjectBench& bench, int committers, int iters) {
   std::vector<std::vector<double>> samples(static_cast<std::size_t>(committers));
   constexpr int kWarmup = 2;
   std::latch start(committers);
@@ -144,7 +139,7 @@ std::size_t os_thread_count() {
 
 // One round of the 64-way mixed load: every committer performs `iters`
 // pooled commits and spawns an async independent action every fourth one.
-void mixed_load_round(TwoStoreBench& bench, int committers, int iters) {
+void mixed_load_round(TwoObjectBench& bench, int committers, int iters) {
   std::latch start(committers);
   std::vector<std::jthread> threads;
   for (int c = 0; c < committers; ++c) {
@@ -179,7 +174,7 @@ int run(bool smoke, const std::string& out_path) {
 
   bench::Json points = bench::Json::array();
   for (const int c : committer_counts) {
-    TwoStoreBench bench(c);
+    TwoObjectBench bench(c);
     const double pooled_us = median_dispatch_us(bench, c, iters);
     std::printf("%-12d %14.1f\n", c, pooled_us);
     points.push(bench::Json::object().set("committers", c).set("pooled_commit_us", pooled_us));
@@ -188,7 +183,7 @@ int run(bool smoke, const std::string& out_path) {
   // Async independent-action throughput through the pooled spawn.
   const int async_actions = smoke ? 256 : 4096;
   Runtime async_rt;
-  (void)async_actions_per_sec(async_rt, async_actions);  // warm the lane
+  (void)async_actions_per_sec(async_rt, async_actions);  // warm the pool
   const double pooled_aps = async_actions_per_sec(async_rt, async_actions);
   std::printf("async independent actions: %.0f/s\n", pooled_aps);
 
@@ -196,10 +191,10 @@ int run(bool smoke, const std::string& out_path) {
   // the executor stops growing, then demand a round that spawns nothing.
   const int flat_committers = 64;
   const int flat_iters = smoke ? 8 : 32;
-  TwoStoreBench flat(flat_committers);
-  // Deterministic prewarm: park enough blocking-lane tasks to force the
-  // lane past the load's worst-case concurrency (64 commits + 64 async
-  // joins), so the measured round can never legitimately need a new thread.
+  TwoObjectBench flat(flat_committers);
+  // Deterministic prewarm: park enough tasks to force the pool past the
+  // load's worst-case concurrency (64 commits + 64 async joins), so the
+  // measured round can never legitimately need a new thread.
   {
     const int park = 2 * flat_committers + 16;
     // Shared ownership: a released worker may still be inside
@@ -233,10 +228,10 @@ int run(bool smoke, const std::string& out_path) {
   const std::uint64_t hot_spawned = steady.threads_spawned - before;
   const std::size_t os_threads = os_thread_count();
   std::printf(
-      "steady state: %zu pool threads (%zu blocking) after %d warm-up rounds, "
+      "steady state: %zu pool threads after %d warm-up rounds, "
       "%llu threads spawned during measured 64-way round, %zu OS threads\n",
-      steady.workers + steady.blocking_threads, steady.blocking_threads, warmup_rounds,
-      static_cast<unsigned long long>(hot_spawned), os_threads);
+      steady.blocking_threads, warmup_rounds, static_cast<unsigned long long>(hot_spawned),
+      os_threads);
 
   const bool pass = hot_spawned == 0;
 
@@ -253,7 +248,6 @@ int run(bool smoke, const std::string& out_path) {
                .set("committers", flat_committers)
                .set("warmup_rounds", warmup_rounds)
                .set("hot_path_threads_spawned", static_cast<std::size_t>(hot_spawned))
-               .set("pool_workers", steady.workers)
                .set("pool_blocking_threads", steady.blocking_threads)
                .set("total_threads_spawned", static_cast<std::size_t>(steady.threads_spawned))
                .set("os_threads", os_threads))

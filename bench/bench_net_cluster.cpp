@@ -62,7 +62,10 @@ RunResult run_cluster(int workers, int tx_per_worker, const std::filesystem::pat
   net::ClusterConfig config;
   config.root = root;
   std::filesystem::remove_all(config.root);
-  net::ClusterNodeConfig n1{.id = 1}, n2{.id = 2}, n3{.id = 3};
+  net::ClusterNodeConfig n1, n2, n3;
+  n1.id = 1;
+  n2.id = 2;
+  n3.id = 3;
   for (int w = 0; w < workers; ++w) {
     n1.ints[100 + static_cast<std::uint32_t>(w)] = 1'000'000;
     n2.ints[200 + static_cast<std::uint32_t>(w)] = 1'000'000;

@@ -1,9 +1,9 @@
 // mcad — one cluster node as an OS process.
 //
-// Usage:
-//   mcad --id 1 --data /var/lib/mca/node1 \
-//        --peers "1=127.0.0.1:9001,2=127.0.0.1:9002,3=127.0.0.1:9003" \
-//        [--witnesses "2,3"] [--ints "10=100,11=0"] [--blobs "20,21"] \
+// Usage (one command line):
+//   mcad --id 1 --data /var/lib/mca/node1
+//        --peers "1=127.0.0.1:9001,2=127.0.0.1:9002,3=127.0.0.1:9003"
+//        [--witnesses "2,3"] [--ints "10=100,11=0"] [--blobs "20,21"]
 //        [--invoke-timeout-ms 4000] [--tpc-timeout-ms 1000]
 //
 // The node's durable store is a WalStore in the --data directory; a process

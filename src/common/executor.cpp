@@ -15,111 +15,74 @@ std::uint64_t micros_between(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 Executor::Executor(Options options) : options_(std::move(options)) {
-  if (options_.workers == 0) options_.workers = 1;
   if (options_.max_blocking == 0) options_.max_blocking = 1;
 }
 
 Executor::~Executor() { shutdown(); }
 
-void Executor::spawn_locked(Lane& lane, bool blocking) {
-  const std::size_t index = lane.threads.size();
-  std::string name = options_.name_prefix + (blocking ? "-b" : "-") + std::to_string(index);
-  lane.threads.emplace_back(
-      [this, &lane, name = std::move(name)] { worker_loop(lane, name); });
-  threads_spawned_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool Executor::enqueue(Lane& lane, std::function<void()> task) {
-  lane.queue.push_back(Task{std::move(task), std::chrono::steady_clock::now()});
-  lane.high_water = std::max(lane.high_water, lane.queue.size());
+void Executor::enqueue_locked(std::function<void()> task) {
+  queue_.push_back(Task{std::move(task), std::chrono::steady_clock::now()});
+  high_water_ = std::max(high_water_, queue_.size());
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool Executor::try_submit(std::function<void()> task) {
-  {
-    const std::scoped_lock lock(normal_.mutex);
-    if (normal_.stopping || normal_.queue.size() >= options_.max_queue) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    enqueue(normal_, std::move(task));
-    // Grow lazily towards the fixed pool size; a warm pool never spawns.
-    // The condition is queue-aware, not `idle == 0`: `idle` still counts a
-    // worker that was notified for an earlier queued task but has not woken
-    // yet, so `idle > 0` does not mean a sleeper is available for THIS task.
-    // `queue <= idle` does guarantee one (at most queue-1 of the idle
-    // workers can already be claimed by the other pending tasks).
-    if (normal_.queue.size() > normal_.idle &&
-        normal_.threads.size() < options_.workers) {
-      spawn_locked(normal_, /*blocking=*/false);
-    }
+  // Queue-aware growth: spawn unless enough idle workers remain to cover
+  // every pending task. `idle_` still counts a worker that was notified for
+  // an earlier queued task but has not woken yet, so spawning on
+  // `idle_ == 0` alone loses wakeups — two rapid submits can both see the
+  // same lone idle worker, and the second task then strands in the queue
+  // behind a worker that blocks inside the first (e.g. an RPC handler
+  // waiting on a lock that only the stranded task would release).
+  if (queue_.size() > idle_ && threads_.size() < options_.max_blocking) {
+    std::string name = options_.name_prefix + "-b" + std::to_string(threads_.size());
+    threads_.emplace_back([this, name = std::move(name)] { worker_loop(name); });
+    threads_spawned_.fetch_add(1, std::memory_order_relaxed);
   }
-  normal_.wake.notify_one();
-  return true;
 }
 
 bool Executor::submit_blocking(std::function<void()> task) {
   {
-    const std::scoped_lock lock(blocking_.mutex);
-    if (blocking_.stopping) {
+    const std::scoped_lock lock(mutex_);
+    if (stopping_) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    enqueue(blocking_, std::move(task));
-    // Queue-aware growth (see try_submit): spawn unless enough idle workers
-    // remain to cover every pending task. Spawning on `idle == 0` alone
-    // loses wakeups — two rapid submits can both see the same lone idle
-    // worker, and the second task then strands in the queue behind a worker
-    // that blocks inside the first (e.g. an RPC handler waiting on a lock
-    // that only the stranded task would release).
-    if (blocking_.queue.size() > blocking_.idle &&
-        blocking_.threads.size() < options_.max_blocking) {
-      spawn_locked(blocking_, /*blocking=*/true);
-    }
     // At the cap with every worker busy the task queues; submit_blocking
     // callers (async spawns) tolerate the wait.
+    enqueue_locked(std::move(task));
   }
-  blocking_.wake.notify_one();
+  wake_.notify_one();
   return true;
 }
 
 bool Executor::try_submit_blocking(std::function<void()> task) {
   {
-    const std::scoped_lock lock(blocking_.mutex);
-    if (blocking_.stopping ||
-        (blocking_.threads.size() >= options_.max_blocking &&
-         blocking_.idle <= blocking_.queue.size())) {
+    const std::scoped_lock lock(mutex_);
+    if (stopping_ || (threads_.size() >= options_.max_blocking && idle_ <= queue_.size())) {
       // No worker could pick this up without an existing one finishing
       // first — a caller that then blocks waiting on the task would risk
-      // deadlock, so refuse and let it run the task inline. `idle` must
+      // deadlock, so refuse and let it run the task inline. `idle_` must
       // strictly exceed the pending queue: up to queue-size idle workers
       // are already claimed by earlier tasks (notified, not yet woken).
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    enqueue(blocking_, std::move(task));
-    if (blocking_.queue.size() > blocking_.idle &&
-        blocking_.threads.size() < options_.max_blocking) {
-      spawn_locked(blocking_, /*blocking=*/true);
-    }
+    enqueue_locked(std::move(task));
   }
-  blocking_.wake.notify_one();
+  wake_.notify_one();
   return true;
 }
 
-void Executor::worker_loop(Lane& lane, const std::string& name) {
+void Executor::worker_loop(const std::string& name) {
   set_current_thread_name(name);
   for (;;) {
     Task task;
     {
-      std::unique_lock lock(lane.mutex);
-      ++lane.idle;
-      lane.wake.wait(lock, [&] { return lane.stopping || !lane.queue.empty(); });
-      --lane.idle;
-      if (lane.queue.empty()) return;  // stopping and drained
-      task = std::move(lane.queue.front());
-      lane.queue.pop_front();
+      std::unique_lock lock(mutex_);
+      ++idle_;
+      wake_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      --idle_;
+      if (queue_.empty()) return;  // stopping and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     const auto start = std::chrono::steady_clock::now();
     task_wait_micros_.fetch_add(micros_between(task.enqueued, start),
@@ -131,48 +94,29 @@ void Executor::worker_loop(Lane& lane, const std::string& name) {
   }
 }
 
-void Executor::shutdown_lane(Lane& lane) {
-  {
-    const std::scoped_lock lock(lane.mutex);
-    lane.stopping = true;
-  }
-  lane.wake.notify_all();
+void Executor::shutdown() {
+  const std::scoped_lock guard(shutdown_mutex_);
   std::vector<std::thread> joiners;
   {
-    const std::scoped_lock lock(lane.mutex);
-    joiners = std::move(lane.threads);
-    lane.threads.clear();
+    const std::scoped_lock lock(mutex_);
+    stopping_ = true;
+    joiners = std::move(threads_);
+    threads_.clear();
   }
+  wake_.notify_all();
   for (std::thread& t : joiners) {
     if (t.joinable()) t.join();
   }
 }
 
-void Executor::shutdown() {
-  const std::scoped_lock guard(shutdown_mutex_);
-  // Blocking lane first: its tasks may fan work out to the normal lane
-  // (e.g. an async action's commit submitting shadow batches), so the
-  // normal lane must still be accepting while the blocking queue drains.
-  // Normal-lane tasks never wait on the blocking lane.
-  shutdown_lane(blocking_);
-  shutdown_lane(normal_);
-}
-
 Executor::Stats Executor::stats() const {
   Stats s;
   {
-    const std::scoped_lock lock(normal_.mutex);
-    s.workers = normal_.threads.size();
-    s.idle = normal_.idle;
-    s.queued = normal_.queue.size();
-    s.queue_high_water = normal_.high_water;
-  }
-  {
-    const std::scoped_lock lock(blocking_.mutex);
-    s.blocking_threads = blocking_.threads.size();
-    s.blocking_idle = blocking_.idle;
-    s.blocking_queued = blocking_.queue.size();
-    s.blocking_high_water = blocking_.high_water;
+    const std::scoped_lock lock(mutex_);
+    s.blocking_threads = threads_.size();
+    s.blocking_idle = idle_;
+    s.blocking_queued = queue_.size();
+    s.blocking_high_water = high_water_;
   }
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.executed = executed_.load(std::memory_order_relaxed);

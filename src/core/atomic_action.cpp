@@ -11,6 +11,15 @@
 namespace mca {
 namespace {
 
+// An object is locked by the action's runtime but written and recovered by
+// its own, so an object of another runtime is refused.
+void refuse_foreign(const Runtime& rt, const LockManaged& object, const char* caller) {
+  if (&object.runtime() != &rt) {
+    throw std::logic_error(std::string(caller) + ": object " + object.uid().to_string() +
+                           " belongs to another runtime");
+  }
+}
+
 ColourSet initial_colours(AtomicAction* parent, ColourSet explicit_colours) {
   if (!explicit_colours.empty()) return explicit_colours;
   if (parent != nullptr) return parent->colours();
@@ -220,6 +229,7 @@ LockOutcome AtomicAction::lock_for(LockManaged& object, LockMode logical) {
   if (status() != ActionStatus::Running) {
     throw std::logic_error("lock_for: action is not running");
   }
+  refuse_foreign(rt_, object, "lock_for");
   const LockPlan plan = [&] {
     const std::scoped_lock lock(mutex_);
     return plan_;
@@ -263,6 +273,7 @@ LockOutcome AtomicAction::lock_explicit(LockManaged& object, LockMode mode, Colo
   if (status() != ActionStatus::Running) {
     throw std::logic_error("lock_explicit: action is not running");
   }
+  refuse_foreign(rt_, object, "lock_explicit");
   if (!has_colour(colour)) {
     throw std::logic_error("lock_explicit: action does not possess colour " + colour.name());
   }
@@ -321,21 +332,25 @@ std::size_t AtomicAction::undo_record_count() const {
   return undo_.size();
 }
 
+void AtomicAction::discard_shadows(const std::vector<UndoRecord*>& prepared) {
+  for (UndoRecord* r : prepared) discard_shadow_best_effort(rt_.default_store(), r->object->uid());
+}
+
 bool AtomicAction::prepare_permanent(const std::vector<Colour>& permanent,
                                      const ShadowCover& cover,
                                      std::vector<UndoRecord*>& prepared) {
   const std::scoped_lock lock(mutex_);
-  ShadowBatches batches;
+  std::vector<ObjectState> shadows;
   try {
     for (UndoRecord& r : undo_) {
       if (std::find(permanent.begin(), permanent.end(), r.colour) == permanent.end()) continue;
-      batches.add(r.object->store(), r.object->make_object_state());
+      shadows.push_back(r.object->make_object_state());
       prepared.push_back(&r);
     }
-    cover.write(batches, rt_.executor());
+    cover.write(shadows);
   } catch (const std::exception& e) {
     MCA_LOG(Warn, "action") << "prepare " << uid_ << " failed: " << e.what();
-    batches.discard();
+    discard_shadows(prepared);
     prepared.clear();
     return false;
   }
@@ -422,14 +437,12 @@ Outcome AtomicAction::commit() {
   // Phase one: shadows for every permanent-colour update, then participants.
   // Any failure aborts the whole action — failure atomicity spans all the
   // action's colours (§5.1 property 1). A participant's decision record
-  // covers the shadows in its store at both ends of the commit (DESIGN.md
-  // §5.4): at prepare they only queue, and its flush (or a veto's discards)
-  // carries them.
-  ObjectStore* decision_store = nullptr;
-  for (const auto& p : participants) {
-    if ((decision_store = p->decision_store()) != nullptr) break;
-  }
-  ShadowCover cover(decision_store);
+  // covers the shadows at both ends of the commit (DESIGN.md §5.4): at
+  // prepare they only queue, and its flush (or a veto's discards) carries
+  // them.
+  ShadowCover cover(rt_.default_store(),
+                    std::any_of(participants.begin(), participants.end(),
+                                [](const auto& p) { return p->writes_decision_record(); }));
   std::vector<UndoRecord*> prepared;
   if (!prepare_permanent(permanent, cover, prepared)) {
     rt_.note_prepare_failure();
@@ -478,9 +491,7 @@ Outcome AtomicAction::commit() {
     }
   }
   if (veto) {
-    for (UndoRecord* r : prepared) {
-      discard_shadow_best_effort(r->object->store(), r->object->uid());
-    }
+    discard_shadows(prepared);
     rt_.note_prepare_failure();
     abort();
     return Outcome::Aborted;
@@ -512,9 +523,7 @@ Outcome AtomicAction::commit() {
       }
     }
     if (!decided) {
-      for (UndoRecord* r : prepared) {
-        discard_shadow_best_effort(r->object->store(), r->object->uid());
-      }
+      discard_shadows(prepared);
       rt_.note_prepare_failure();
       abort();
       return Outcome::Aborted;
@@ -523,7 +532,7 @@ Outcome AtomicAction::commit() {
   // Phase two: promote shadows, then process locks and records per colour.
   // Covered promotions go to the participant whose durable decision record
   // covers them (lazy phase two); the rest wait per write.
-  for (UndoRecord* r : prepared) cover.add(r->object->store(), r->object->uid());
+  for (UndoRecord* r : prepared) cover.add(r->object->uid());
   const bool covered = std::any_of(participants.begin(), participants.end(),
                                    [&](const auto& p) { return p->promote_covered(uid_, cover); });
   if (!covered) cover.promote();

@@ -114,15 +114,15 @@ class TerminationParticipant {
     (void)prepared_objects;
     return true;
   }
-  // Covered prepare (DESIGN.md §5.4): the store decide_commit writes the
-  // action's decision record into, or null (the default) when it writes
-  // none. The kernel's prepare shadows in that store then only queue: the
-  // record's flush (or, on a veto, the discards') carries them.
-  [[nodiscard]] virtual ObjectStore* decision_store() const { return nullptr; }
+  // Covered prepare (DESIGN.md §5.4): true when decide_commit writes the
+  // action's decision record into the runtime's store (the default writes
+  // none). The kernel's prepare shadows then only queue: the record's flush
+  // (or, on a veto, the discards') carries them.
+  [[nodiscard]] virtual bool writes_decision_record() const { return false; }
   // Lazy phase two (DESIGN.md §5.4): called once every decide_commit
   // succeeded, before any lock moves. `promotions` holds the prepared
-  // shadows that live in the decision record's store (the others are
-  // promoted already). A participant whose decision record, durable in that
+  // shadows when a participant writes a decision record (otherwise they
+  // are promoted already). The participant whose record, durable in the
   // store, names them takes the job: it runs `promotions.promote()` and
   // retires its record inside one DeferDurability scope, so none of those
   // writes waits for its own flush, and returns true. The default declines;
@@ -308,7 +308,8 @@ class AtomicAction {
   // -- services for LockManaged objects ---------------------------------------
 
   // Acquires the lock(s) the plan maps the logical mode to. `logical` must
-  // be Read or Write; ExclusiveRead acquisitions use lock_explicit.
+  // be Read or Write; ExclusiveRead acquisitions use lock_explicit. Both
+  // throw std::logic_error for an object of another runtime.
   [[nodiscard]] LockOutcome lock_for(LockManaged& object, LockMode logical);
 
   // Acquires exactly (mode, colour); colour must belong to this action.
@@ -338,6 +339,8 @@ class AtomicAction {
   [[nodiscard]] bool prepare_permanent(const std::vector<Colour>& permanent,
                                        const ShadowCover& cover,
                                        std::vector<UndoRecord*>& prepared);
+  // The failure path: drops the prepared shadows, best effort.
+  void discard_shadows(const std::vector<UndoRecord*>& prepared);
 
   Runtime& rt_;
   Uid uid_;

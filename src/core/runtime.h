@@ -2,10 +2,11 @@
 //
 // One Runtime corresponds to one node of the paper's system model: a lock
 // manager, an ancestry registry (so a server can reason about remote
-// callers' action hierarchies), a default object store for persistent
-// objects created on this node, and the runtime spine — an Executor (the
-// node's worker pool: shadow-batch prepares, async independent actions,
-// recovery passes) plus a TimerService (the node's one timer thread: RPC
+// callers' action hierarchies), the node's one object store (§2: stable or
+// volatile), which holds every persistent object of this runtime and the
+// commit protocol's records, and the runtime spine — an Executor (the
+// node's worker pool: async independent actions, recovery passes, make
+// fan-out) plus a TimerService (the node's one timer thread: RPC
 // retransmission, periodic recovery ticks). The distributed layer gives
 // each simulated node its own Runtime; single-process programs just make
 // one. Both spine services start their threads lazily, so a Runtime that
@@ -14,9 +15,9 @@
 // Shutdown order (the destructor, via reverse member order) is the one
 // documented sequence every subsystem relies on:
 //   1. timers_ stops first — no callback can submit new work;
-//   2. executor_ drains both lanes and joins — queued tasks still run and
-//      may use the lock manager / stores below;
-//   3. stores, lock manager, trace, ancestry go last.
+//   2. executor_ drains its queue and joins — queued tasks still run and
+//      may use the lock manager / store below;
+//   3. store, lock manager, trace, ancestry go last.
 #pragma once
 
 #include <atomic>
@@ -44,13 +45,10 @@ struct ActionStats {
 class Runtime {
  public:
   // Uses an internal stable MemoryStore as the default object store.
-  // `lock_stripes` sizes the lock manager's shard array (1 = the old
-  // global-mutex behaviour, useful as a benchmark baseline).
-  explicit Runtime(std::size_t lock_stripes = LockManager::kDefaultStripes);
+  Runtime();
 
   // Uses `store` (not owned) as the default object store.
-  explicit Runtime(ObjectStore& store,
-                   std::size_t lock_stripes = LockManager::kDefaultStripes);
+  explicit Runtime(ObjectStore& store);
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -94,15 +92,14 @@ class Runtime {
   std::atomic<std::uint64_t> prepare_failures_{0};
 };
 
-inline Runtime::Runtime(std::size_t lock_stripes)
-    : lock_manager_(ancestry_, lock_stripes),
+inline Runtime::Runtime()
+    : lock_manager_(ancestry_),
       owned_store_(std::make_unique<MemoryStore>(StorageClass::Stable)),
       store_(owned_store_.get()) {
   lock_manager_.set_trace(&trace_);
 }
 
-inline Runtime::Runtime(ObjectStore& store, std::size_t lock_stripes)
-    : lock_manager_(ancestry_, lock_stripes), store_(&store) {
+inline Runtime::Runtime(ObjectStore& store) : lock_manager_(ancestry_), store_(&store) {
   lock_manager_.set_trace(&trace_);
 }
 

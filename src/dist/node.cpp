@@ -339,23 +339,7 @@ RpcResult DistNode::call_blocking(NodeId target, const std::string& service,
 ByteBuffer DistNode::invoke(NodeId target, const Uid& object, const std::string& op,
                             ByteBuffer args) {
   AtomicAction& action = ActionContext::require();
-  if (!action.has_participant("coordlog")) {
-    action.add_participant(std::make_shared<CoordinatorLogParticipant>(*this), "coordlog");
-  }
-  if (auto log = std::dynamic_pointer_cast<CoordinatorLogParticipant>(
-          action.participant("coordlog"))) {
-    log->set_owner(action);
-  }
-  const std::string key = RpcParticipant::key_for(target);
-  auto participant = std::dynamic_pointer_cast<RpcParticipant>(action.participant(key));
-  if (participant == nullptr) {
-    action.add_participant(std::make_shared<RpcParticipant>(*this, target, action), key);
-    // Re-fetch instead of trusting our instance: a concurrent registration
-    // for the same node may have won the keyed dedup, and only the
-    // registered participant is driven at termination (so only it may carry
-    // the armed flag).
-    participant = std::dynamic_pointer_cast<RpcParticipant>(action.participant(key));
-  }
+  const auto participant = RpcParticipant::enlist(*this, target, action);
 
   ByteBuffer request;
   request.pack_uid(action.uid());
@@ -406,20 +390,7 @@ LockOutcome DistNode::remote_lock(NodeId target, const Uid& object, LockMode mod
   if (!action.has_colour(colour)) {
     throw std::logic_error("remote_lock: action does not possess colour " + colour.name());
   }
-  if (!action.has_participant("coordlog")) {
-    action.add_participant(std::make_shared<CoordinatorLogParticipant>(*this), "coordlog");
-  }
-  if (auto log = std::dynamic_pointer_cast<CoordinatorLogParticipant>(
-          action.participant("coordlog"))) {
-    log->set_owner(action);
-  }
-  const std::string key = RpcParticipant::key_for(target);
-  auto participant = std::dynamic_pointer_cast<RpcParticipant>(action.participant(key));
-  if (participant == nullptr) {
-    action.add_participant(std::make_shared<RpcParticipant>(*this, target, action), key);
-    // Same re-fetch as invoke(): the registered instance is the armed one.
-    participant = std::dynamic_pointer_cast<RpcParticipant>(action.participant(key));
-  }
+  const auto participant = RpcParticipant::enlist(*this, target, action);
   // An explicit remote lock bypasses the invoke reply framing, so nothing
   // tracks what it guards: stay on the classical path.
   participant->note_classical();

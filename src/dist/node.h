@@ -87,9 +87,11 @@ class DistNode {
   // Registers a dispatcher for a type name (process-global).
   static void register_type(const std::string& type_name, Dispatcher dispatcher);
 
-  // Makes `object` (which must use this node's runtime/store) invocable by
-  // remote callers. Its construction-time state is snapshotted so a crash
-  // can reset never-committed objects.
+  // Makes `object` invocable by remote callers. It must belong to this
+  // node's runtime, so it lives in the node's store, the one recovery
+  // promotes and discards in (a lock on another runtime's object is
+  // refused). Its construction-time state is snapshotted so a crash can
+  // reset never-committed objects.
   void host(LockManaged& object);
 
   // Client side: invoke `op` on the remote `object` at `target` within the

@@ -31,9 +31,7 @@ void complete_call(const std::shared_ptr<RpcCallState>& state, RpcResult result)
 
 Executor::Options handler_options() {
   Executor::Options o;
-  o.workers = 1;    // normal lane unused
   o.max_blocking = 8;
-  o.max_queue = 0;  // try_submit on the unused normal lane always refuses
   o.name_prefix = "mca-rpc";
   return o;
 }

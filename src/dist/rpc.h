@@ -314,8 +314,7 @@ class RpcEndpoint {
   TimerService* timers_;
 
   // Request handlers may block on locks for arbitrarily long, so they run
-  // on the blocking lane of an executor of their own (normal lane unused),
-  // capped at 8 threads named "mca-rpc-bN".
+  // on an executor of their own, capped at 8 threads named "mca-rpc-bN".
   Executor pool_;
 };
 

@@ -174,12 +174,12 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
   mirror.prepared.clear();
   mirror.heirs = std::move(heirs);
   MCA_CRASHPOINT("tpc.participant.prepare.pre_shadow");
-  // The marker, written below into the default store, covers the shadows
-  // there (covered prepare, DESIGN.md §5.4): they only queue, and the
-  // marker's flush — or the failure path's discards — carries them, so the
-  // vote costs one append.
-  const ShadowCover cover(&rt_.default_store());
-  ShadowBatches batches;
+  // The marker, written below into the store, covers the shadows (covered
+  // prepare, DESIGN.md §5.4): they only queue, and the marker's flush — or
+  // the failure path's discards — carries them, so the vote costs one
+  // append.
+  const ShadowCover cover(rt_.default_store(), /*covered=*/true);
+  std::vector<ObjectState> shadows;
   const auto is_permanent = [&](Colour c) {
     return std::find(permanent.begin(), permanent.end(), c) != permanent.end();
   };
@@ -190,7 +190,7 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
       // must still be able to undo them).
       auto records = mirror.action->extract_records(c);
       for (const UndoRecord& r : records) {
-        batches.add(r.object->store(), r.object->make_object_state());
+        shadows.push_back(r.object->make_object_state());
         mirror.prepared.emplace_back(r.object->uid(), c);
       }
       mirror.action->adopt_records(std::move(records));
@@ -202,10 +202,12 @@ bool ParticipantTable::prepare(const Uid& action, const std::vector<Colour>& per
       if (tally == nullptr || !is_permanent(tally->colour())) continue;
       if (auto entry = pending_entry(*tally, action)) deltas.push_back(std::move(*entry));
     }
-    cover.write(batches, rt_.executor());
+    cover.write(shadows);
   } catch (const std::exception& e) {
     MCA_LOG(Warn, "tpc") << "prepare " << action << " failed: " << e.what();
-    batches.discard();
+    for (const auto& [uid, colour] : mirror.prepared) {
+      discard_shadow_best_effort(rt_.default_store(), uid);
+    }
     mirror.prepared.clear();
     return false;
   }
@@ -271,18 +273,15 @@ void ParticipantTable::commit(const Uid& action) {
 
   // Pass 2: promote the permanent colours' shadows and drop the marker,
   // before any lock moves so a later action's writes to these objects are
-  // logged behind them. The marker is durable in the default store and names
-  // the shadows, so the promotions there and the marker drop ride its next
-  // group commit (lazy phase two): a crash before they land replays to
-  // "marker + shadows", which tx.status resolution redoes. Shadows in other
-  // stores are not covered and wait per write.
-  ShadowCover promotions(&rt_.default_store());
+  // logged behind them. The marker is durable in the store and names the
+  // shadows, so the promotions and the marker drop ride its next group
+  // commit (lazy phase two): a crash before they land replays to "marker +
+  // shadows", which tx.status resolution redoes.
+  ShadowCover promotions(rt_.default_store(), /*covered=*/true);
   for (const wire::HeirInfo& h : heirs) {
     if (!h.heir.is_nil()) continue;
     for (const auto& [uid, colour] : mirror.prepared) {
-      if (colour != h.colour) continue;
-      LockManaged* object = resolve_(uid);
-      promotions.add(object != nullptr ? object->store() : rt_.default_store(), uid);
+      if (colour == h.colour) promotions.add(uid);
     }
   }
   {
@@ -353,9 +352,7 @@ void ParticipantTable::abort(const Uid& action) {
   Mirror& mirror = *held.mirror;
   retire(action, mirror);
   MCA_CRASHPOINT("tpc.participant.abort.pre_discard");
-  for (const auto& [uid, colour] : mirror.prepared) {
-    if (LockManaged* object = resolve_(uid)) object->store().discard_shadow(uid);
-  }
+  for (const auto& [uid, colour] : mirror.prepared) rt_.default_store().discard_shadow(uid);
   MCA_CRASHPOINT("tpc.participant.abort.pre_marker_drop");
   drop_marker(action);
   mirror.action->abort();
@@ -456,6 +453,34 @@ RpcParticipant::RpcParticipant(DistNode& local, NodeId target, AtomicAction& own
     : local_(local), target_(target), owner_(owner) {}
 
 std::string RpcParticipant::key_for(NodeId target) { return "node:" + std::to_string(target); }
+
+std::shared_ptr<RpcParticipant> RpcParticipant::enlist(DistNode& local, NodeId target,
+                                                       AtomicAction& action) {
+  // The coordinator log writes its decision record into the node's store,
+  // which covers the kernel's shadows only when they are in the same store.
+  if (&action.runtime() != &local.runtime()) {
+    throw std::logic_error("enlist: action " + action.uid().to_string() +
+                           " belongs to another runtime");
+  }
+  if (!action.has_participant("coordlog")) {
+    action.add_participant(std::make_shared<CoordinatorLogParticipant>(local), "coordlog");
+  }
+  if (auto log = std::dynamic_pointer_cast<CoordinatorLogParticipant>(
+          action.participant("coordlog"))) {
+    log->set_owner(action);
+  }
+  const std::string key = key_for(target);
+  auto participant = std::dynamic_pointer_cast<RpcParticipant>(action.participant(key));
+  if (participant == nullptr) {
+    action.add_participant(std::make_shared<RpcParticipant>(local, target, action), key);
+    // Re-fetch instead of trusting our instance: a concurrent registration
+    // for the same node may have won the keyed dedup, and only the
+    // registered participant is driven at termination (so only it may carry
+    // the armed flag).
+    participant = std::dynamic_pointer_cast<RpcParticipant>(action.participant(key));
+  }
+  return participant;
+}
 
 void RpcParticipant::note_delta_batch(const Uid& object, std::vector<std::byte> ops) {
   const std::scoped_lock lock(delta_mutex_);
@@ -572,20 +597,7 @@ TerminationParticipant::Pending RpcParticipant::start_commit(
     if (heir_action == nullptr) continue;
     // The heir inherits responsibility for this node: give it a
     // participant (and a coordinator log) of its own.
-    if (!heir_action->has_participant("coordlog")) {
-      heir_action->add_participant(std::make_shared<CoordinatorLogParticipant>(local_),
-                                   "coordlog");
-    }
-    if (auto log = std::dynamic_pointer_cast<CoordinatorLogParticipant>(
-            heir_action->participant("coordlog"))) {
-      log->set_owner(*heir_action);
-    }
-    auto heir_participant = std::dynamic_pointer_cast<RpcParticipant>(
-        heir_action->participant(key_for(target_)));
-    if (heir_participant == nullptr) {
-      heir_participant = std::make_shared<RpcParticipant>(local_, target_, *heir_action);
-      heir_action->add_participant(heir_participant, key_for(target_));
-    }
+    const auto heir_participant = enlist(local_, target_, *heir_action);
     // The heir now owns server-side state (the inherited mirror) —
     // including any undo records the mirror passes along, which the
     // client cannot see. The heir must therefore never take the

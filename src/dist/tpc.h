@@ -221,6 +221,14 @@ class RpcParticipant final : public TerminationParticipant {
 
   static std::string key_for(NodeId target);
 
+  // The one enlistment step of every remote exchange within `action` (an
+  // invoke, a remote lock, a heir inheriting a node): makes sure the action
+  // carries the coordinator log, owned by it, and a participant for
+  // `target`, and returns the registered participant. Throws
+  // std::logic_error when `action` belongs to another runtime than `local`.
+  static std::shared_ptr<RpcParticipant> enlist(DistNode& local, NodeId target,
+                                                AtomicAction& action);
+
   // Called after each successful invoke through this participant's node:
   // only an armed participant has server-side state to resolve. An unarmed
   // one (every invoke failed, e.g. the node was down) votes yes at prepare
@@ -304,8 +312,8 @@ class RpcParticipant final : public TerminationParticipant {
 //            by this record.
 //   Delta    the one-phase commutative path's redo record (decide_delta).
 //
-// The record covers the kernel's default-store shadows at both ends of the
-// commit (DESIGN.md §5.4). Covered prepare: decision_store() tells the
+// The record covers the kernel's shadows at both ends of the commit
+// (DESIGN.md §5.4). Covered prepare: writes_decision_record() tells the
 // kernel to only queue them, so the Pending or Sealed record's flush carries
 // them.
 // Lazy phase two: the Sealed record covers their promotions, so
@@ -333,7 +341,7 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
   explicit CoordinatorLogParticipant(DistNode& node);
 
   bool decide_commit(const Uid& action, const std::vector<Uid>& prepared_objects) override;
-  [[nodiscard]] ObjectStore* decision_store() const override { return &rt_.default_store(); }
+  [[nodiscard]] bool writes_decision_record() const override { return true; }
   bool promote_covered(const Uid& action, const ShadowCover& promotions) override;
   void commit(const Uid& action, const std::vector<ColourDisposition>&) override;
 
@@ -352,7 +360,7 @@ class CoordinatorLogParticipant final : public TerminationParticipant {
   void finish_delta(const Uid& action) override;
 
   // The fast path needs the owning action to enumerate co-participants;
-  // set at every creation site (invoke, remote_lock, heir propagation).
+  // set by RpcParticipant::enlist (invoke, remote_lock, heir propagation).
   // Invokes of one action may run on several threads at once (a replica
   // group's write_all), each storing the same owner; termination reads it
   // after joining them.

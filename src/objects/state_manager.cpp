@@ -16,15 +16,9 @@ constexpr std::uint32_t kDeltaFrameMagic = 0x3244434DU;  // 'MCD2' little-endian
 
 }  // namespace
 
-StateManager::StateManager(Runtime& rt) : rt_(rt), store_(rt.default_store()) {}
+StateManager::StateManager(Runtime& rt) : rt_(rt) {}
 
-StateManager::StateManager(Runtime& rt, ObjectStore& store) : rt_(rt), store_(store) {}
-
-StateManager::StateManager(Runtime& rt, const Uid& uid)
-    : rt_(rt), store_(rt.default_store()), uid_(uid) {}
-
-StateManager::StateManager(Runtime& rt, const Uid& uid, ObjectStore& store)
-    : rt_(rt), store_(store), uid_(uid) {}
+StateManager::StateManager(Runtime& rt, const Uid& uid) : rt_(rt), uid_(uid) {}
 
 void StateManager::ensure_activated() {
   const std::scoped_lock lock(activation_mutex_);
@@ -33,7 +27,7 @@ void StateManager::ensure_activated() {
 }
 
 void StateManager::activate_locked() {
-  if (auto committed = store_.read(uid_)) {
+  if (auto committed = rt_.default_store().read(uid_)) {
     // Read through a non-owning cursor: the decoded state lives in
     // `committed` for the duration, so no second copy is needed.
     ByteBuffer cursor = ByteBuffer::reader(committed->state());
@@ -63,7 +57,7 @@ void StateManager::activate_locked() {
 
 void StateManager::replay_chain_locked() {
   for (std::uint64_t seq = 1;; ++seq) {
-    const auto rec = store_.read(delta_record_uid(uid_, seq));
+    const auto rec = rt_.default_store().read(delta_record_uid(uid_, seq));
     if (!rec || rec->type_name() != kDeltaRecordType) break;
     ByteBuffer cursor = ByteBuffer::reader(rec->state());
     try {
@@ -206,7 +200,7 @@ void StateManager::append_delta_locked(const Uid& action, const ByteBuffer& ops)
   // loses only volatile memory, and the client's retransmit (not deduped —
   // the record never landed) re-applies it after recovery.
   MCA_CRASHPOINT("store.delta.mid_append");
-  store_.write(
+  rt_.default_store().write(
       ObjectState(delta_record_uid(uid_, delta_next_seq_), kDeltaRecordType, std::move(payload)));
   ++delta_next_seq_;
 }
@@ -215,12 +209,13 @@ void StateManager::maybe_compact_locked() {
   if (delta_next_seq_ - 1 < kDeltaCompactEvery) return;
   const std::uint64_t old_len = delta_next_seq_ - 1;
   const std::uint64_t new_epoch = delta_epoch_ + 1;
+  ObjectStore& store = rt_.default_store();
   try {
     // The epoch bump in the base write makes this crash-safe: once it lands,
     // the old-epoch chain records are ignored by replay whether or not the
     // removals below ever run; if it fails, the old base + full chain are
     // still intact and the chain simply keeps growing.
-    store_.write(ObjectState(uid_, type_name(), base_payload_locked(new_epoch)));
+    store.write(ObjectState(uid_, type_name(), base_payload_locked(new_epoch)));
   } catch (const std::exception& e) {
     MCA_LOG(Warn, "state") << "delta compaction of " << uid_ << " failed (" << e.what()
                            << "); chain keeps growing";
@@ -231,7 +226,7 @@ void StateManager::maybe_compact_locked() {
   delta_applied_.clear();
   for (const Uid& a : delta_recent_) delta_applied_.insert(a);
   try {
-    for (std::uint64_t seq = 1; seq <= old_len; ++seq) store_.remove(delta_record_uid(uid_, seq));
+    for (std::uint64_t seq = 1; seq <= old_len; ++seq) store.remove(delta_record_uid(uid_, seq));
   } catch (const std::exception& e) {
     MCA_LOG(Warn, "state") << "delta chain cleanup of " << uid_ << " failed (" << e.what()
                            << "); stale records are epoch-fenced";

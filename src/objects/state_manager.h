@@ -7,9 +7,9 @@
 // kernel then gives the object the serializability, failure atomicity and
 // permanence properties of whatever (coloured) action system it is used in.
 //
-// An object is bound to an object store; its committed state is loaded from
-// the store on first access ("activation") and new states are written back
-// when an outermost-in-colour action commits.
+// An object lives in its runtime's default store; its committed state is
+// loaded from the store on first access ("activation") and new states are
+// written back when an outermost-in-colour action commits.
 //
 // Delta-logged types (DESIGN.md §5.9) opt out of the snapshot/undo protocol
 // entirely: mutators tally per-action operations (registered here as a
@@ -37,13 +37,9 @@ class StateManager {
   // A brand-new persistent object, stored in the runtime's default store.
   explicit StateManager(Runtime& rt);
 
-  // A brand-new persistent object in an explicit store (not owned).
-  StateManager(Runtime& rt, ObjectStore& store);
-
   // Re-binds to an existing persistent object; its committed state is loaded
   // from the store on first access.
   StateManager(Runtime& rt, const Uid& uid);
-  StateManager(Runtime& rt, const Uid& uid, ObjectStore& store);
 
   virtual ~StateManager() = default;
   StateManager(const StateManager&) = delete;
@@ -51,7 +47,6 @@ class StateManager {
 
   [[nodiscard]] const Uid& uid() const { return uid_; }
   [[nodiscard]] Runtime& runtime() const { return rt_; }
-  [[nodiscard]] ObjectStore& store() const { return store_; }
 
   // -- state mapping provided by concrete classes ------------------------------
 
@@ -191,7 +186,6 @@ class StateManager {
   [[nodiscard]] ByteBuffer base_payload_locked(std::uint64_t epoch) const;
 
   Runtime& rt_;
-  ObjectStore& store_;
   Uid uid_;
   // Guards activation and all delta-chain bookkeeping. Always taken before
   // any type-level value mutex (the delta hooks lock their own state).

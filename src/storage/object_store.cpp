@@ -1,11 +1,8 @@
 #include "storage/object_store.h"
 
 #include <algorithm>
-#include <exception>
-#include <latch>
 #include <utility>
 
-#include "common/executor.h"
 #include "common/logging.h"
 
 namespace mca {
@@ -44,16 +41,6 @@ DeferToNextWrite::~DeferToNextWrite() { --tls_deferred.forward_depth; }
 
 bool DeferToNextWrite::active() noexcept { return tls_deferred.forward_depth > 0; }
 
-void ShadowBatches::add(ObjectStore& store, ObjectState state) {
-  auto it = std::find_if(batches_.begin(), batches_.end(),
-                         [&](const auto& batch) { return batch.first == &store; });
-  if (it == batches_.end()) {
-    batches_.emplace_back(&store, std::vector<ObjectState>{});
-    it = std::prev(batches_.end());
-  }
-  it->second.push_back(std::move(state));
-}
-
 void discard_shadow_best_effort(ObjectStore& store, const Uid& uid) {
   try {
     store.discard_shadow(uid);
@@ -62,72 +49,26 @@ void discard_shadow_best_effort(ObjectStore& store, const Uid& uid) {
   }
 }
 
-void ShadowBatches::discard() const {
-  for (const auto& [store, states] : batches_) {
-    for (const ObjectState& state : states) discard_shadow_best_effort(*store, state.uid());
-  }
-}
-
-void ShadowCover::write(const ShadowBatches& batches, Executor& executor) const {
-  const auto& all = batches.batches_;
-  if (all.empty()) return;
-  if (all.size() == 1) {
-    write(*all[0].first, all[0].second);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(all.size());
-  std::latch done(static_cast<std::ptrdiff_t>(all.size() - 1));
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    auto work = [&, i] {
-      try {
-        write(*all[i].first, all[i].second);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      done.count_down();
-    };
-    if (!executor.try_submit(work)) work();
-  }
-  try {
-    write(*all[0].first, all[0].second);
-  } catch (...) {
-    errors[0] = std::current_exception();
-  }
-  done.wait();
-
-  // A std::exception is a veto. Anything else (a simulated kill) is not
-  // caught here and leaves at once, so no veto can swallow a kill.
-  std::exception_ptr veto;
-  for (const std::exception_ptr& error : errors) {
-    if (!error) continue;
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception&) {
-      if (!veto) veto = error;
-    }
-  }
-  if (veto) std::rethrow_exception(veto);
-}
-
-void ShadowCover::write(ObjectStore& store, const std::vector<ObjectState>& states) const {
-  if (!covers(store)) {
-    store.write_batch(states, WriteKind::Shadow);
+void ShadowCover::write(const std::vector<ObjectState>& states) const {
+  if (states.empty()) return;
+  if (!covered_) {
+    store_.write_batch(states, WriteKind::Shadow);
     return;
   }
   const DeferToNextWrite ride;
-  store.write_batch(states, WriteKind::Shadow);
+  store_.write_batch(states, WriteKind::Shadow);
 }
 
-void ShadowCover::add(ObjectStore& store, const Uid& uid) {
-  if (covers(store)) {
+void ShadowCover::add(const Uid& uid) {
+  if (covered_) {
     held_.push_back(uid);
   } else {
-    store.commit_shadow(uid);
+    store_.commit_shadow(uid);
   }
 }
 
 void ShadowCover::promote() const {
-  for (const Uid& uid : held_) covering_->commit_shadow(uid);
+  for (const Uid& uid : held_) store_.commit_shadow(uid);
 }
 
 }  // namespace mca

@@ -4,6 +4,8 @@
 // states written during the prepare phase. `commit_shadow` atomically
 // promotes a shadow to the committed state; `discard_shadow` drops it.
 //
+// A store belongs to a node: each Runtime has one, which holds every
+// persistent object of that runtime and the commit protocol's records.
 // Stores model the paper's storage classes: a *stable* store survives a node
 // crash (diskfull workstation); a *volatile* store loses everything
 // (diskless). `crash()` simulates the loss; recovery code then replays or
@@ -13,7 +15,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "storage/object_state.h"
@@ -35,7 +36,6 @@ enum class StorageClass { Stable, Volatile };
 // Which side of the store a batched write lands on.
 enum class WriteKind { Committed, Shadow };
 
-class Executor;
 class ObjectStore;
 
 // The two covers (DESIGN.md §5.4, §5.6): a write that a record in the SAME
@@ -148,53 +148,30 @@ class ObjectStore {
 // sweep. A simulated kill, which is not a std::exception, still leaves.
 void discard_shadow_best_effort(ObjectStore& store, const Uid& uid);
 
-// One commit's prepare shadows, one batch per store in first-seen order, so
-// that each store takes its share in a single write_batch call.
-class ShadowBatches {
- public:
-  void add(ObjectStore& store, ObjectState state);
-  // The failure path: drops every shadow add() named, each through
-  // discard_shadow_best_effort (one that never landed discards as a no-op).
-  void discard() const;
-
- private:
-  friend class ShadowCover;
-  std::vector<std::pair<ObjectStore*, std::vector<ObjectState>>> batches_;
-};
-
-// The same-store rule (DESIGN.md §5.4): a record covers only the shadows in
-// its own store. One commit's shadow writes go through a ShadowCover at both
-// ends, so the rule lives in one place: at prepare a batch in the covering
-// store rides the record's flush (DeferToNextWrite), and in phase two its
-// promotions ride the record's durability (DeferDurability); a shadow in
-// any other store is written and promoted with a wait per write.
+// One commit's shadow writes, at both ends (DESIGN.md §5.4). Every
+// persistent object lives in its runtime's one store, and so does the record
+// that names the commit's shadows (a participant's prepared marker, a
+// coordinator's decision record) when there is one. Covered, the prepare
+// batch rides the record's flush (DeferToNextWrite) and the promotions ride
+// its durability (DeferDurability); uncovered (no record: a local-only
+// commit), every write waits.
 class ShadowCover {
  public:
-  // `covering` is the store of the record that names this commit's shadows
-  // (a participant's prepared marker, a coordinator's decision record), or
-  // null when no record covers them and every write waits.
-  explicit ShadowCover(ObjectStore* covering) : covering_(covering) {}
+  ShadowCover(ObjectStore& store, bool covered) : store_(store), covered_(covered) {}
 
-  [[nodiscard]] bool covers(const ObjectStore& store) const { return &store == covering_; }
-  // Prepare, for coordinator and participant alike: writes every batch. In
-  // the covering store a batch only queues; the caller's covering write
-  // there carries it. Batch 0 runs on the calling thread and the others on
-  // `executor`'s normal lane (inline when it refuses), so independent
-  // stores write concurrently; returns once all have. A failed batch may be
-  // partly written. If any batch threw something that is not a
-  // std::exception (a simulated kill), that is rethrown, even when another
-  // batch vetoed; otherwise the first std::exception (a veto) is.
-  void write(const ShadowBatches& batches, Executor& executor) const;
-  // Phase two: a shadow outside the covering store is promoted at once,
-  // waiting for its flush; one in it is held for promote(), which the caller
-  // runs inside the covering record's DeferDurability scope.
-  void add(ObjectStore& store, const Uid& uid);
+  // Prepare, for coordinator and participant alike: writes the batch of
+  // shadows. Covered, it only queues; the caller's covering write carries
+  // it. A failed batch may be partly written.
+  void write(const std::vector<ObjectState>& states) const;
+  // Phase two: uncovered, a shadow is promoted at once, waiting for its
+  // flush; covered, it is held for promote(), which the caller runs inside
+  // the covering record's DeferDurability scope.
+  void add(const Uid& uid);
   void promote() const;
 
  private:
-  void write(ObjectStore& store, const std::vector<ObjectState>& states) const;
-
-  ObjectStore* covering_;
+  ObjectStore& store_;
+  bool covered_;
   std::vector<Uid> held_;
 };
 

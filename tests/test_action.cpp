@@ -390,5 +390,27 @@ TEST(LockIntegration, DeadlockSurfacesAsLockFailure) {
   a.abort();
 }
 
+// An object is written and recovered by its own runtime, so an action of
+// another runtime may not lock it: the grant would sit in a lock manager the
+// object's own actions never consult.
+TEST(LockIntegration, ObjectOfAnotherRuntimeIsRefused) {
+  Runtime rt;
+  Runtime other;
+  RecoverableInt foreign(other, 5);
+  AtomicAction a(rt);
+  a.begin();
+  EXPECT_THROW((void)a.lock_for(foreign, LockMode::Write), std::logic_error);
+  EXPECT_THROW((void)a.lock_explicit(foreign, LockMode::Read, Colour::plain()),
+               std::logic_error);
+  EXPECT_THROW(foreign.set(7), std::logic_error);
+  EXPECT_EQ(a.undo_record_count(), 0u);
+  EXPECT_EQ(a.commit(), Outcome::Committed);
+
+  AtomicAction own(other);
+  own.begin();
+  EXPECT_EQ(foreign.value(), 5);
+  EXPECT_EQ(own.commit(), Outcome::Committed);
+}
+
 }  // namespace
 }  // namespace mca

@@ -1233,7 +1233,7 @@ TEST(CrashSweepRegression, CheckerFlagsMarkerWithoutShadows) {
 
   // One prepared object, and a Sealed record (the default Record).
   ParticipantTable::write_marker(cl.p1.runtime(),
-                                 {action, cl.c.id(), {{cl.a.uid(), Colour::plain()}}, {}});
+                                 {action, cl.c.id(), {{cl.a.uid(), Colour::plain()}}, {}, {}});
   CoordinatorLogParticipant::write_record(cl.c.runtime(), action, {});
   ASSERT_EQ(cl.p1.in_doubt_count(), 1u);
 

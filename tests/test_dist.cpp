@@ -330,7 +330,7 @@ TEST_F(DistTest, InvokeUnknownObjectIsRemoteError) {
   AtomicAction a(client_.runtime());
   a.begin();
   RemoteInt ghost(client_, server_.id(), Uid());
-  EXPECT_THROW(ghost.value(), RemoteError);
+  EXPECT_THROW((void)ghost.value(), RemoteError);
   a.abort();
 }
 
@@ -339,7 +339,7 @@ TEST_F(DistTest, UnreachableNodeThrowsNodeUnreachable) {
   AtomicAction a(client_.runtime());
   a.begin();
   RemoteInt ghost(client_, 77, Uid());  // no node 77 exists
-  EXPECT_THROW(ghost.value(), NodeUnreachable);
+  EXPECT_THROW((void)ghost.value(), NodeUnreachable);
   a.abort();
 }
 

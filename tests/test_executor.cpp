@@ -33,7 +33,7 @@ TEST(Executor, RunsSubmittedTasks) {
   Executor ex;
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(ex.try_submit([&] { ran.fetch_add(1); }));
+    ASSERT_TRUE(ex.submit_blocking([&] { ran.fetch_add(1); }));
   }
   ex.shutdown();
   EXPECT_EQ(ran.load(), 100);
@@ -45,41 +45,6 @@ TEST(Executor, RunsSubmittedTasks) {
 TEST(Executor, LazyConstructionSpawnsNoThreads) {
   Executor ex;
   EXPECT_EQ(ex.stats().threads_spawned, 0u);
-}
-
-TEST(Executor, NormalLaneNeverExceedsConfiguredWorkers) {
-  Executor::Options o;
-  o.workers = 2;
-  Executor ex(o);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 500; ++i) {
-    if (!ex.try_submit([&] { ran.fetch_add(1); })) ran.fetch_add(1);  // inline fallback
-  }
-  ex.shutdown();
-  EXPECT_EQ(ran.load(), 500);
-  EXPECT_LE(ex.stats().workers, 2u);
-  EXPECT_LE(ex.stats().threads_spawned, 2u);
-}
-
-TEST(Executor, TrySubmitRefusesWhenQueueFull) {
-  Executor::Options o;
-  o.workers = 1;
-  o.max_queue = 2;
-  Executor ex(o);
-  std::atomic<bool> release{false};
-  // Park the single worker so the queue can fill.
-  ASSERT_TRUE(ex.try_submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(1ms);
-  }));
-  // Wait until the blocker has been picked up (queue drains to 0).
-  while (ex.stats().queued > 0) std::this_thread::sleep_for(1ms);
-  ASSERT_TRUE(ex.try_submit([] {}));
-  ASSERT_TRUE(ex.try_submit([] {}));
-  // Queue is now at max_queue=2: the overload path must refuse, not block.
-  EXPECT_FALSE(ex.try_submit([] {}));
-  EXPECT_GE(ex.stats().rejected, 1u);
-  release.store(true);
-  ex.shutdown();
 }
 
 TEST(Executor, BlockingLaneReusesIdleThreads) {
@@ -99,14 +64,11 @@ TEST(Executor, BlockingLaneReusesIdleThreads) {
   EXPECT_EQ(ex.stats().threads_spawned, 1u);
 }
 
-// The shape RpcEndpoint runs its request handlers on: the normal lane
-// unused, the blocking lane capped. Work past the cap queues and shutdown
-// drains it.
+// The shape RpcEndpoint runs its request handlers on: a small cap. Work
+// past the cap queues and shutdown drains it.
 TEST(Executor, CappedBlockingLaneRunsSubmittedWork) {
   Executor::Options o;
-  o.workers = 1;
   o.max_blocking = 4;
-  o.max_queue = 0;
   Executor ex(o);
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
@@ -121,9 +83,7 @@ TEST(Executor, CappedBlockingLaneRunsSubmittedWork) {
 // The same shape refuses work once shut down, even with no task ever run.
 TEST(Executor, CappedBlockingLaneRefusesAfterShutdown) {
   Executor::Options o;
-  o.workers = 1;
   o.max_blocking = 1;
-  o.max_queue = 0;
   Executor ex(o);
   ex.shutdown();
   EXPECT_FALSE(ex.submit_blocking([] {}));
@@ -150,10 +110,13 @@ TEST(Executor, TrySubmitBlockingRefusesAtCapWithNoIdleWorker) {
 }
 
 TEST(Executor, SubmitVsShutdownRace) {
-  // Hammer try_submit from several threads while the main thread shuts the
-  // executor down. Every accepted task must run; refusals must be clean.
+  // Hammer submit_blocking from several threads while the main thread
+  // shuts the executor down. Every accepted task must run; refusals must be
+  // clean. The cap keeps each round's pool small.
+  Executor::Options o;
+  o.max_blocking = 4;
   for (int round = 0; round < 20; ++round) {
-    Executor ex;
+    Executor ex(o);
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> ran{0};
     std::atomic<bool> stop{false};
@@ -161,7 +124,7 @@ TEST(Executor, SubmitVsShutdownRace) {
     for (int t = 0; t < 4; ++t) {
       submitters.emplace_back([&] {
         while (!stop.load()) {
-          if (ex.try_submit([&] { ran.fetch_add(1); })) accepted.fetch_add(1);
+          if (ex.submit_blocking([&] { ran.fetch_add(1); })) accepted.fetch_add(1);
         }
       });
     }
@@ -176,29 +139,29 @@ TEST(Executor, SubmitVsShutdownRace) {
 TEST(Executor, ShutdownIsIdempotentAndConcurrent) {
   Executor ex;
   std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) (void)ex.try_submit([&] { ran.fetch_add(1); });
+  for (int i = 0; i < 32; ++i) (void)ex.submit_blocking([&] { ran.fetch_add(1); });
   std::vector<std::thread> closers;
   for (int t = 0; t < 4; ++t) closers.emplace_back([&] { ex.shutdown(); });
   for (auto& t : closers) t.join();
   ex.shutdown();
   EXPECT_EQ(ran.load(), 32);
-  EXPECT_FALSE(ex.try_submit([] {}));       // stopped
-  EXPECT_FALSE(ex.submit_blocking([] {}));  // both lanes
+  EXPECT_FALSE(ex.submit_blocking([] {}));  // stopped
+  EXPECT_FALSE(ex.try_submit_blocking([] {}));
 }
 
 TEST(Executor, StatsTrackLatencyAndHighWater) {
   Executor::Options o;
-  o.workers = 1;
+  o.max_blocking = 1;
   Executor ex(o);
   std::atomic<bool> release{false};
-  ASSERT_TRUE(ex.try_submit([&] {
+  ASSERT_TRUE(ex.submit_blocking([&] {
     while (!release.load()) std::this_thread::sleep_for(1ms);
   }));
-  ASSERT_TRUE(ex.try_submit([] { std::this_thread::sleep_for(2ms); }));
+  ASSERT_TRUE(ex.submit_blocking([] { std::this_thread::sleep_for(2ms); }));
   release.store(true);
   ex.shutdown();
   const auto stats = ex.stats();
-  EXPECT_GE(stats.queue_high_water, 1u);
+  EXPECT_GE(stats.blocking_high_water, 1u);
   EXPECT_GT(stats.task_run_micros, 0u);
 }
 
@@ -399,21 +362,16 @@ TEST(RuntimeSpine, AsyncJoinAfterRuntimeTeardownSeesRealOutcome) {
 }
 
 TEST(RuntimeSpine, ParallelPrepareKillTunnelsOutOfCommit) {
-  // Two stores force a multi-batch parallel prepare; an armed store-level
-  // crash point must surface as CrashPointHit out of commit() on the
-  // calling thread — tunnelling through the executor workers, the WAL's
-  // committer and every catch(std::exception) on the way — exactly as the
-  // crash-sweep checker relies on.
-  const auto dir_a =
-      std::filesystem::temp_directory_path() / ("mca_exec_kill_a_" + Uid().to_string());
-  const auto dir_b =
-      std::filesystem::temp_directory_path() / ("mca_exec_kill_b_" + Uid().to_string());
+  // A two-object prepare on a WalStore: an armed store-level crash point
+  // must surface as CrashPointHit out of commit() on the calling thread —
+  // tunnelling through the WAL's committer and every catch(std::exception)
+  // on the way — exactly as the crash-sweep checker relies on.
+  const auto dir = std::filesystem::temp_directory_path() / ("mca_exec_kill_" + Uid().to_string());
   {
-    WalStore store_a(dir_a);
-    WalStore store_b(dir_b);
-    Runtime rt(store_a);
-    RecoverableInt in_a(rt, store_a);
-    RecoverableInt in_b(rt, store_b);
+    WalStore store(dir);
+    Runtime rt(store);
+    RecoverableInt in_a(rt, 0);
+    RecoverableInt in_b(rt, 0);
 
     crash_points::reset();
     crash_points::arm("store.wal.append.mid_record");
@@ -433,8 +391,7 @@ TEST(RuntimeSpine, ParallelPrepareKillTunnelsOutOfCommit) {
     EXPECT_TRUE(tunnelled);
     crash_points::reset();
   }
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

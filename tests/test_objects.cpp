@@ -353,19 +353,5 @@ TEST(StateManagerTest, InvalidateActivationForcesReload) {
   a.commit();
 }
 
-TEST(StateManagerTest, ExplicitStoreIsUsed) {
-  MemoryStore dedicated;
-  Runtime rt;  // its own default store, distinct from `dedicated`
-  RecoverableInt obj(rt, dedicated);
-  {
-    AtomicAction a(rt);
-    a.begin();
-    obj.set(3);
-    a.commit();
-  }
-  EXPECT_TRUE(dedicated.read(obj.uid()).has_value());
-  EXPECT_FALSE(rt.default_store().read(obj.uid()).has_value());
-}
-
 }  // namespace
 }  // namespace mca

@@ -1,11 +1,9 @@
 // Unit tests for src/storage: committed/shadow semantics, crash survival,
-// the state encoding, fault injection, and the shadow-batch fan-out.
+// the state encoding and fault injection.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
-#include "common/executor.h"
-#include "sim/crash_points.h"
 #include "storage/faulty_store.h"
 #include "storage/memory_store.h"
 #include "storage/wal_store.h"
@@ -190,53 +188,6 @@ TEST(FaultyStore, PassesThroughWhenPredicateFalse) {
   store.write(make_state(uid, "v"));
   EXPECT_TRUE(store.read(uid).has_value());
   EXPECT_EQ(store.storage_class(), StorageClass::Stable);
-}
-
-// The prepare fan-out both the kernel and the participant table call: one
-// batch per store, the batches written concurrently. A veto is the first
-// std::exception; a simulated kill in any batch wins over a veto in any
-// other, whichever thread either ran on.
-TEST(ShadowCover, KillInAnyBatchBeatsAVetoInAnother) {
-  const auto dir = std::filesystem::temp_directory_path() / ("mca_cover_kill_" + Uid().to_string());
-  {
-    WalStore killing(dir);
-    MemoryStore inner;
-    FaultyStore vetoing(inner, [](FaultyStore::Op op, const Uid&) {
-      return op == FaultyStore::Op::WriteShadow;
-    });
-    Executor executor;
-    const ShadowCover cover(nullptr);
-    const auto write = [&](ObjectStore& first, ObjectStore& second) {
-      ShadowBatches batches;
-      batches.add(first, make_state(Uid(), "first"));
-      batches.add(second, make_state(Uid(), "second"));
-      cover.write(batches, executor);
-    };
-
-    EXPECT_THROW(write(vetoing, killing), StoreFault);  // no kill armed: the veto
-    for (const bool kill_first : {true, false}) {
-      // A kill wedges the log it tore; the restart it stands for clears it.
-      killing.crash();
-      crash_points::reset();
-      crash_points::arm("store.wal.append.mid_record");
-      bool killed = false;
-      try {
-        if (kill_first) {
-          write(killing, vetoing);
-        } else {
-          write(vetoing, killing);
-        }
-      } catch (const CrashPointHit&) {
-        killed = true;
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << "the veto (" << e.what() << ") swallowed the kill";
-      }
-      EXPECT_TRUE(killed) << "kill in batch " << (kill_first ? 0 : 1);
-      EXPECT_EQ(crash_points::fire_count("store.wal.append.mid_record"), 1u);
-    }
-    crash_points::reset();
-  }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
